@@ -26,6 +26,11 @@
 //! `tests/bank_differential.rs` drives both implementations on shared random
 //! heartbeat/loss/crash schedules and asserts identical transition
 //! sequences, deadlines and suspicion flags for all 30 combinations.
+//!
+//! A bank checkpoints as a versioned `FDBK` byte image
+//! ([`DetectorBank::snapshot_bytes`] / [`DetectorBank::restore_bytes`]):
+//! a small frame around each predictor's and margin core's own
+//! `write_state` bytes, restored all-or-nothing.
 
 use fd_arima::ArimaSpec;
 use fd_sim::{SimDuration, SimTime};
@@ -36,7 +41,30 @@ use crate::margin::{CiCore, JacCore, RtoCore};
 use crate::predictor::{
     AdaptiveWindow, ArimaPredictor, Last, Lpf, Mean, MlPredictor, PhiAccrual, Predictor, WinMean,
 };
-use crate::snapshot::{BankSnapshot, PredictorSnapshot, SnapshotError};
+use crate::snapshot::{Reader, SnapshotError, Writer};
+
+/// Predictor-family tag bytes, shared by the `FDBK` and `FDSB` images.
+/// Tags 0–4 are the paper's five predictors (format version 1); 5–7 the
+/// extended families added in version 2.
+pub(crate) mod tag {
+    pub(crate) const LAST: u8 = 0;
+    pub(crate) const MEAN: u8 = 1;
+    pub(crate) const WINMEAN: u8 = 2;
+    pub(crate) const LPF: u8 = 3;
+    pub(crate) const ARIMA: u8 = 4;
+    pub(crate) const PHI: u8 = 5;
+    pub(crate) const ADW: u8 = 6;
+    pub(crate) const ML: u8 = 7;
+    /// The highest tag any version assigns.
+    pub(crate) const MAX: u8 = ML;
+}
+
+const MAGIC: &[u8; 4] = b"FDBK";
+/// Version 2 added the new-family predictor tags (φ-accrual, adaptive
+/// window, ML). The body layout of version 1 is unchanged — its tags 0–4
+/// decode exactly as before — so v1 bytes restore bit-identically.
+const VERSION: u8 = 2;
+const OLDEST_READABLE_VERSION: u8 = 1;
 
 /// Enum-dispatched predictor state, mirroring [`PredictorKind`].
 ///
@@ -136,6 +164,54 @@ impl PredictorState {
             PredictorState::Adw(p) => p.observations(),
             PredictorState::Ml(p) => p.observations(),
         }
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            PredictorState::Last(_) => tag::LAST,
+            PredictorState::Mean(_) => tag::MEAN,
+            PredictorState::WinMean(_) => tag::WINMEAN,
+            PredictorState::Lpf(_) => tag::LPF,
+            PredictorState::Arima(_) => tag::ARIMA,
+            PredictorState::Phi(_) => tag::PHI,
+            PredictorState::Adw(_) => tag::ADW,
+            PredictorState::Ml(_) => tag::ML,
+        }
+    }
+
+    /// Writes the family tag byte followed by the family's own body.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.u8(self.tag());
+        match self {
+            PredictorState::Last(p) => p.write_state(w),
+            PredictorState::Mean(p) => p.write_state(w),
+            PredictorState::WinMean(p) => p.write_state(w),
+            PredictorState::Lpf(p) => p.write_state(w),
+            PredictorState::Arima(p) => p.write_state(w),
+            PredictorState::Phi(p) => p.write_state(w),
+            PredictorState::Adw(p) => p.write_state(w),
+            PredictorState::Ml(p) => p.write_state(w),
+        }
+    }
+
+    /// Reads a tagged body into a state of this variant and configuration;
+    /// bytes of another family or of other parameters are a mismatch.
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        match r.u8()? {
+            t if t == self.tag() => {}
+            t if t <= tag::MAX => return Err(SnapshotError::Mismatch("predictor kind")),
+            t => return Err(SnapshotError::BadTag(t)),
+        }
+        Ok(match self {
+            PredictorState::Last(p) => PredictorState::Last(p.read_state(r)?),
+            PredictorState::Mean(p) => PredictorState::Mean(p.read_state(r)?),
+            PredictorState::WinMean(p) => PredictorState::WinMean(p.read_state(r)?),
+            PredictorState::Lpf(p) => PredictorState::Lpf(p.read_state(r)?),
+            PredictorState::Arima(p) => PredictorState::Arima(p.read_state(r)?),
+            PredictorState::Phi(p) => PredictorState::Phi(p.read_state(r)?),
+            PredictorState::Adw(p) => PredictorState::Adw(p.read_state(r)?),
+            PredictorState::Ml(p) => PredictorState::Ml(p.read_state(r)?),
+        })
     }
 
     /// The underlying ARIMA predictor, if this is the ARIMA variant
@@ -476,265 +552,127 @@ impl DetectorBank {
         }
     }
 
-    /// Captures the bank's complete mutable state.
+    /// Serializes the bank's complete mutable state — the distinct
+    /// predictor states (including the full ARIMA window, model and
+    /// innovation recursion), the shared Welford core, the per-predictor
+    /// error cores and the per-combination freshness points and suspicion
+    /// flags — as a versioned `FDBK` byte image.
     ///
-    /// Restoring the snapshot into a bank built over the same combinations
-    /// (via [`DetectorBank::restore`]) is **bit-exact**: the restored bank
-    /// produces transitions, deadlines and margins identical to an
-    /// uncrashed bank fed the same subsequent heartbeats. Serialize with
-    /// [`BankSnapshot::to_bytes`].
-    pub fn snapshot(&self) -> BankSnapshot {
-        let predictors = self
-            .predictors
-            .iter()
-            .map(|p| match p {
-                PredictorState::Last(p) => {
-                    let (last, n) = p.raw_parts();
-                    PredictorSnapshot::Last { last, n }
-                }
-                PredictorState::Mean(p) => {
-                    let (mean, n) = p.raw_parts();
-                    PredictorSnapshot::Mean { mean, n }
-                }
-                PredictorState::WinMean(p) => {
-                    let (window, capacity, sum, n) = p.raw_parts();
-                    PredictorSnapshot::WinMean {
-                        window,
-                        capacity,
-                        sum,
-                        n,
-                    }
-                }
-                PredictorState::Lpf(p) => {
-                    let (beta, pred, n) = p.raw_parts();
-                    PredictorSnapshot::Lpf { beta, pred, n }
-                }
-                PredictorState::Arima(p) => PredictorSnapshot::Arima(p.snapshot()),
-                PredictorState::Phi(p) => {
-                    let (ring, pos, len, sum, sumsq, start_left, flaps, mean_up, up_len, n) =
-                        p.raw_parts();
-                    PredictorSnapshot::Phi {
-                        ring,
-                        pos,
-                        len,
-                        sum,
-                        sumsq,
-                        start_left,
-                        flaps,
-                        mean_up,
-                        up_len,
-                        n,
-                    }
-                }
-                PredictorState::Adw(p) => {
-                    let (ring, sum, sumsq, n) = p.raw_parts();
-                    PredictorSnapshot::Adw {
-                        ring,
-                        sum,
-                        sumsq,
-                        n,
-                    }
-                }
-                PredictorState::Ml(p) => {
-                    let (w, hist, n) = p.raw_parts();
-                    PredictorSnapshot::Ml { w, hist, n }
-                }
-            })
-            .collect();
-        let error_cores = self
-            .error_cores
-            .iter()
-            .map(|c| {
-                (
-                    c.jac.as_ref().map(|j| j.raw_parts()),
-                    c.rto.as_ref().map(|r| r.raw_parts()),
-                )
-            })
-            .collect();
-        let (stats, sigma, inner_sqrt) = self.ci.raw_parts();
-        BankSnapshot {
-            eta_us: self.eta.as_micros(),
-            n_combos: self.combos.len(),
-            predictors,
-            ci: (stats, sigma, inner_sqrt),
-            error_cores,
-            predictions: self.predictions.clone(),
-            next_freshness_us: self
-                .next_freshness
-                .iter()
-                .map(|nf| nf.map(|t| t.as_micros()))
-                .collect(),
-            suspecting: self.suspecting.clone(),
-            highest_seq: self.highest_seq,
-            heartbeats: self.heartbeats,
-            stale_heartbeats: self.stale_heartbeats,
+    /// Restoring the image into a bank built over the same combinations
+    /// (via [`restore_bytes`](Self::restore_bytes)) is **bit-exact**: the
+    /// restored bank produces transitions, deadlines and margins identical
+    /// to an uncrashed bank fed the same subsequent heartbeats.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u8(VERSION);
+        w.u64(self.eta.as_micros());
+        w.u64(self.combos.len() as u64);
+        w.u64(self.predictors.len() as u64);
+        for p in &self.predictors {
+            p.write_state(&mut w);
         }
+        self.ci.write_state(&mut w);
+        for cores in &self.error_cores {
+            w.u8(cores.jac.is_some() as u8);
+            if let Some(jac) = &cores.jac {
+                jac.write_state(&mut w);
+            }
+            w.u8(cores.rto.is_some() as u8);
+            if let Some(rto) = &cores.rto {
+                rto.write_state(&mut w);
+            }
+        }
+        w.vec_f64(&self.predictions);
+        for nf in &self.next_freshness {
+            w.opt_u64(nf.map(|t| t.as_micros()));
+        }
+        for &s in &self.suspecting {
+            w.u8(s as u8);
+        }
+        w.opt_u64(self.highest_seq);
+        w.u64(self.heartbeats);
+        w.u64(self.stale_heartbeats);
+        w.into_bytes()
     }
 
-    /// Replaces this bank's mutable state with a snapshot's.
+    /// Replaces this bank's mutable state with the image written by
+    /// [`snapshot_bytes`](Self::snapshot_bytes).
     ///
     /// The bank must have been built over the **same** combinations and η
-    /// as the snapshotted one; any shape or parameter mismatch is rejected
-    /// with [`SnapshotError::Mismatch`] and leaves the bank untouched.
-    pub fn restore(&mut self, snapshot: &BankSnapshot) -> Result<(), SnapshotError> {
-        if snapshot.eta_us != self.eta.as_micros() {
+    /// as the snapshotted one — configuration is validated, not stored.
+    /// Never panics on malformed input, and restore is all-or-nothing:
+    /// truncated, corrupted, version-skewed or wrong-shape bytes yield a
+    /// [`SnapshotError`] and leave the bank exactly as it was.
+    pub fn restore_bytes(&mut self, data: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = Reader::new(data);
+        if r.bytes(4)? != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let version = r.u8()?;
+        if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        if r.u64()? != self.eta.as_micros() {
             return Err(SnapshotError::Mismatch("heartbeat period"));
         }
-        if snapshot.n_combos != self.combos.len()
-            || snapshot.next_freshness_us.len() != self.combos.len()
-            || snapshot.suspecting.len() != self.combos.len()
-        {
+        if r.len()? != self.combos.len() {
             return Err(SnapshotError::Mismatch("combination count"));
         }
-        if snapshot.predictors.len() != self.predictors.len()
-            || snapshot.error_cores.len() != self.predictors.len()
-            || snapshot.predictions.len() != self.predictors.len()
-        {
+        if r.len()? != self.predictors.len() {
             return Err(SnapshotError::Mismatch("distinct predictor count"));
         }
+        // Decode everything into locals first; `self` is only touched
+        // once the whole image has been accepted.
         let mut predictors = Vec::with_capacity(self.predictors.len());
-        for (current, snap) in self.predictors.iter().zip(&snapshot.predictors) {
-            predictors.push(restore_predictor(current, snap)?);
+        for current in &self.predictors {
+            predictors.push(current.read_state(&mut r)?);
         }
+        let ci = CiCore::read_state(&mut r)?;
         let mut error_cores = Vec::with_capacity(self.error_cores.len());
-        for (current, (jac, rto)) in self.error_cores.iter().zip(&snapshot.error_cores) {
-            if current.jac.is_some() != jac.is_some() || current.rto.is_some() != rto.is_some() {
+        for current in &self.error_cores {
+            let jac = match r.flag()? {
+                true => Some(JacCore::read_state(&mut r)?),
+                false => None,
+            };
+            let rto = match r.flag()? {
+                true => Some(RtoCore::read_state(&mut r)?),
+                false => None,
+            };
+            if jac.is_some() != current.jac.is_some() || rto.is_some() != current.rto.is_some() {
                 return Err(SnapshotError::Mismatch("error-core allocation"));
             }
-            let jac = match jac {
-                Some((alpha, base)) => Some(
-                    JacCore::from_raw_parts(*alpha, *base)
-                        .ok_or(SnapshotError::Invalid("jacobson alpha"))?,
-                ),
-                None => None,
-            };
-            let rto = rto.map(|(gain, mu, dev)| RtoCore::from_raw_parts(gain, mu, dev));
             error_cores.push(ErrorCores { jac, rto });
         }
+        let predictions = r.vec_f64()?;
+        if predictions.len() != self.predictors.len() {
+            return Err(SnapshotError::Invalid("prediction count"));
+        }
+        let mut next_freshness = Vec::with_capacity(self.combos.len());
+        for _ in 0..self.combos.len() {
+            next_freshness.push(r.opt_u64()?.map(SimTime::from_micros));
+        }
+        let mut suspecting = Vec::with_capacity(self.combos.len());
+        for _ in 0..self.combos.len() {
+            suspecting.push(r.flag()?);
+        }
+        let highest_seq = r.opt_u64()?;
+        let heartbeats = r.u64()?;
+        let stale_heartbeats = r.u64()?;
+        if r.remaining() > 0 {
+            return Err(SnapshotError::TrailingBytes(r.remaining()));
+        }
         self.predictors = predictors;
+        self.ci = ci;
         self.error_cores = error_cores;
-        self.ci = CiCore::from_raw_parts(snapshot.ci.0, snapshot.ci.1, snapshot.ci.2);
-        self.predictions = snapshot.predictions.clone();
-        self.next_freshness = snapshot
-            .next_freshness_us
-            .iter()
-            .map(|nf| nf.map(SimTime::from_micros))
-            .collect();
-        self.suspecting = snapshot.suspecting.clone();
-        self.highest_seq = snapshot.highest_seq;
-        self.heartbeats = snapshot.heartbeats;
-        self.stale_heartbeats = snapshot.stale_heartbeats;
+        self.predictions = predictions;
+        self.next_freshness = next_freshness;
+        self.suspecting = suspecting;
+        self.highest_seq = highest_seq;
+        self.heartbeats = heartbeats;
+        self.stale_heartbeats = stale_heartbeats;
         self.transitions.clear();
         Ok(())
-    }
-}
-
-/// Rebuilds one predictor state from its snapshot, validating that both
-/// the variant and its configuration parameters match the bank's.
-fn restore_predictor(
-    current: &PredictorState,
-    snap: &PredictorSnapshot,
-) -> Result<PredictorState, SnapshotError> {
-    match (current, snap) {
-        (PredictorState::Last(_), PredictorSnapshot::Last { last, n }) => {
-            Ok(PredictorState::Last(Last::from_raw_parts(*last, *n)))
-        }
-        (PredictorState::Mean(_), PredictorSnapshot::Mean { mean, n }) => {
-            Ok(PredictorState::Mean(Mean::from_raw_parts(*mean, *n)))
-        }
-        (
-            PredictorState::WinMean(cur),
-            PredictorSnapshot::WinMean {
-                window,
-                capacity,
-                sum,
-                n,
-            },
-        ) => {
-            if cur.capacity() != *capacity {
-                return Err(SnapshotError::Mismatch("window capacity"));
-            }
-            WinMean::from_raw_parts(window.clone(), *capacity, *sum, *n)
-                .map(PredictorState::WinMean)
-                .ok_or(SnapshotError::Invalid("window state"))
-        }
-        (PredictorState::Lpf(cur), PredictorSnapshot::Lpf { beta, pred, n }) => {
-            if cur.beta().to_bits() != beta.to_bits() {
-                return Err(SnapshotError::Mismatch("smoothing factor"));
-            }
-            Lpf::from_raw_parts(*beta, *pred, *n)
-                .map(PredictorState::Lpf)
-                .ok_or(SnapshotError::Invalid("lpf state"))
-        }
-        (PredictorState::Arima(cur), PredictorSnapshot::Arima(a)) => {
-            if cur.inner().spec() != a.spec {
-                return Err(SnapshotError::Mismatch("arima spec"));
-            }
-            ArimaPredictor::from_snapshot(a.clone())
-                .map(PredictorState::Arima)
-                .ok_or(SnapshotError::Invalid("arima state"))
-        }
-        (
-            PredictorState::Phi(cur),
-            PredictorSnapshot::Phi {
-                ring,
-                pos,
-                len,
-                sum,
-                sumsq,
-                start_left,
-                flaps,
-                mean_up,
-                up_len,
-                n,
-            },
-        ) => {
-            if cur.window() != ring.len() {
-                return Err(SnapshotError::Mismatch("phi window"));
-            }
-            PhiAccrual::from_raw_parts(
-                cur.window(),
-                cur.threshold(),
-                cur.two_phase(),
-                ring.clone(),
-                *pos,
-                *len,
-                *sum,
-                *sumsq,
-                *start_left,
-                *flaps,
-                *mean_up,
-                *up_len,
-                *n,
-            )
-            .map(PredictorState::Phi)
-            .ok_or(SnapshotError::Invalid("phi state"))
-        }
-        (
-            PredictorState::Adw(cur),
-            PredictorSnapshot::Adw {
-                ring,
-                sum,
-                sumsq,
-                n,
-            },
-        ) => {
-            if cur.window() != ring.len() {
-                return Err(SnapshotError::Mismatch("adaptive window"));
-            }
-            AdaptiveWindow::from_raw_parts(cur.window(), cur.k(), ring.clone(), *sum, *sumsq, *n)
-                .map(PredictorState::Adw)
-                .ok_or(SnapshotError::Invalid("adaptive-window state"))
-        }
-        (PredictorState::Ml(cur), PredictorSnapshot::Ml { w, hist, n }) => {
-            if cur.lags() != hist.len() {
-                return Err(SnapshotError::Mismatch("ml lags"));
-            }
-            MlPredictor::from_raw_parts(cur.lags(), cur.rate(), w.clone(), hist.clone(), *n)
-                .map(PredictorState::Ml)
-                .ok_or(SnapshotError::Invalid("ml state"))
-        }
-        _ => Err(SnapshotError::Mismatch("predictor kind")),
     }
 }
 
@@ -942,10 +880,9 @@ mod tests {
         }
         // Serialize through the byte format — the restored bank sees only
         // what would survive a real crash.
-        let bytes = original.snapshot().to_bytes();
-        let snap = crate::snapshot::BankSnapshot::from_bytes(&bytes).unwrap();
+        let bytes = original.snapshot_bytes();
         let mut restored = DetectorBank::new(&combos, eta());
-        restored.restore(&snap).unwrap();
+        restored.restore_bytes(&bytes).unwrap();
 
         for seq in 25..60u64 {
             // A gap at seq 40 exercises suspicion edges on both banks.
@@ -977,15 +914,28 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_bank() {
-        let snap = DetectorBank::paper_grid(eta()).snapshot();
+        let bytes = DetectorBank::paper_grid(eta()).snapshot_bytes();
         // Different combination count.
         let mut small = DetectorBank::new(&all_combinations()[..4], eta());
-        assert!(small.restore(&snap).is_err());
+        assert_eq!(
+            small.restore_bytes(&bytes),
+            Err(SnapshotError::Mismatch("combination count"))
+        );
         // Different eta.
         let mut other_eta = DetectorBank::paper_grid(SimDuration::from_millis(500));
-        assert!(other_eta.restore(&snap).is_err());
+        assert_eq!(
+            other_eta.restore_bytes(&bytes),
+            Err(SnapshotError::Mismatch("heartbeat period"))
+        );
+        // Same shape, another predictor family in the slot.
+        let combos = crate::combinations::extended_combinations();
+        let mut other_kind = DetectorBank::new(&combos[combos.len() - 1..], eta());
+        assert_eq!(
+            other_kind.restore_bytes(&DetectorBank::new(&combos[..1], eta()).snapshot_bytes()),
+            Err(SnapshotError::Mismatch("predictor kind"))
+        );
         // Matching bank accepts it.
         let mut ok = DetectorBank::paper_grid(eta());
-        assert!(ok.restore(&snap).is_ok());
+        assert!(ok.restore_bytes(&bytes).is_ok());
     }
 }

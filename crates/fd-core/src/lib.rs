@@ -22,6 +22,9 @@
 //! * [`source_bank`] — the many-source [`SourceBank`]: N sources × M
 //!   combinations in struct-of-arrays layout with contiguous per-combo
 //!   deadline arrays and a batch heartbeat path;
+//! * [`snapshot`] — the byte plumbing of the `FDBK`/`FDSB` warm-restart
+//!   images; each predictor and margin core defines its own bytes in a
+//!   `write_state`/`read_state` pair beside the type;
 //! * [`combinations`] — the registry of the paper's 30 predictor × margin
 //!   combinations;
 //! * [`nfd`] — the Chen–Toueg–Aguilera NFD-E baseline the paper extends.
@@ -69,5 +72,5 @@ pub use predictor::{
     AdaptiveWindow, ArimaPredictor, Last, Lpf, Mean, MlPredictor, PhiAccrual, Predictor, WinMean,
 };
 pub use pull::PullFailureDetector;
-pub use snapshot::{BankSnapshot, SnapshotError};
+pub use snapshot::SnapshotError;
 pub use source_bank::{HeartbeatObs, SourceBank, SourceTransition};

@@ -15,6 +15,8 @@
 
 use fd_stat::RunningStats;
 
+use crate::snapshot::{Reader, SnapshotError, Writer};
+
 /// The γ-independent state of `SM_CI`: the Welford statistics of the
 /// observed delays plus the last `σ̂·sqrt(1 + 1/n + dev²/ssd)` factor.
 ///
@@ -65,18 +67,27 @@ impl CiCore {
         self.stats.count()
     }
 
-    /// The raw state `(stats, sigma, inner_sqrt)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (RunningStats, f64, f64) {
-        (self.stats, self.sigma, self.inner_sqrt)
+    /// Writes the checkpoint body: the Welford statistics
+    /// `(n, mean, m2, min, max)`, then `sigma` and `inner_sqrt`.
+    pub fn write_state(&self, w: &mut Writer) {
+        let (n, mean, m2, min, max) = self.stats.raw_parts();
+        w.u64(n);
+        w.f64(mean);
+        w.f64(m2);
+        w.f64(min);
+        w.f64(max);
+        w.f64(self.sigma);
+        w.f64(self.inner_sqrt);
     }
 
-    /// Rebuilds the core from [`CiCore::raw_parts`] output.
-    pub fn from_raw_parts(stats: RunningStats, sigma: f64, inner_sqrt: f64) -> Self {
-        Self {
+    /// Reads a body written by [`CiCore::write_state`].
+    pub fn read_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let stats = RunningStats::from_raw_parts(r.u64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+        Ok(Self {
             stats,
-            sigma,
-            inner_sqrt,
-        }
+            sigma: r.f64()?,
+            inner_sqrt: r.f64()?,
+        })
     }
 }
 
@@ -112,16 +123,23 @@ impl JacCore {
         phi * self.base
     }
 
-    /// The raw state `(alpha, base)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (f64, f64) {
-        (self.alpha, self.base)
+    /// Writes the checkpoint body `(alpha, base)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.f64(self.alpha);
+        w.f64(self.base);
     }
 
-    /// Rebuilds the core from [`JacCore::raw_parts`] output.
-    ///
-    /// Returns `None` if `alpha` is outside `(0, 1]`.
-    pub fn from_raw_parts(alpha: f64, base: f64) -> Option<Self> {
-        (alpha > 0.0 && alpha <= 1.0).then_some(Self { alpha, base })
+    /// Reads a body written by [`JacCore::write_state`], rejecting a gain
+    /// outside `(0, 1]`.
+    pub fn read_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let alpha = r.f64()?;
+        if !(alpha > 0.0 && alpha <= 1.0) {
+            return Err(SnapshotError::Invalid("jacobson alpha"));
+        }
+        Ok(Self {
+            alpha,
+            base: r.f64()?,
+        })
     }
 }
 
@@ -157,14 +175,20 @@ impl RtoCore {
         (self.mu + k * self.dev).max(0.0)
     }
 
-    /// The raw state `(gain, mu, dev)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (f64, f64, f64) {
-        (self.gain, self.mu, self.dev)
+    /// Writes the checkpoint body `(gain, mu, dev)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.f64(self.gain);
+        w.f64(self.mu);
+        w.f64(self.dev);
     }
 
-    /// Rebuilds the core from [`RtoCore::raw_parts`] output.
-    pub fn from_raw_parts(gain: f64, mu: f64, dev: f64) -> Self {
-        Self { gain, mu, dev }
+    /// Reads a body written by [`RtoCore::write_state`].
+    pub fn read_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            gain: r.f64()?,
+            mu: r.f64()?,
+            dev: r.f64()?,
+        })
     }
 }
 

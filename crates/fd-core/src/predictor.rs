@@ -20,6 +20,8 @@ use std::collections::VecDeque;
 
 use fd_arima::{ArimaSpec, OnlineArima};
 
+use crate::snapshot::{read_arima, write_arima, Reader, SnapshotError, Writer};
+
 /// A one-step forecaster of heartbeat transmission delays (milliseconds).
 ///
 /// Implementations return 0.0 from [`Predictor::predict`] before the first
@@ -106,14 +108,18 @@ impl Last {
         Self::default()
     }
 
-    /// The raw state `(last, n)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (f64, u64) {
-        (self.last, self.n)
+    /// Writes the checkpoint body `(last, n)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.f64(self.last);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the predictor from [`Last::raw_parts`] output.
-    pub fn from_raw_parts(last: f64, n: u64) -> Self {
-        Self { last, n }
+    /// Reads a body written by [`Last::write_state`].
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            last: r.f64()?,
+            n: r.u64()?,
+        })
     }
 }
 
@@ -159,14 +165,18 @@ impl Mean {
         Self::default()
     }
 
-    /// The raw state `(mean, n)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (f64, u64) {
-        (self.mean, self.n)
+    /// Writes the checkpoint body `(mean, n)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.f64(self.mean);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the predictor from [`Mean::raw_parts`] output.
-    pub fn from_raw_parts(mean: f64, n: u64) -> Self {
-        Self { mean, n }
+    /// Reads a body written by [`Mean::write_state`].
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            mean: r.f64()?,
+            n: r.u64()?,
+        })
     }
 }
 
@@ -226,27 +236,32 @@ impl WinMean {
         self.capacity
     }
 
-    /// The raw state `(window oldest-first, capacity, sum, n)` for
-    /// checkpoint/restore.
-    pub fn raw_parts(&self) -> (Vec<f64>, usize, f64, u64) {
-        (
-            self.window.iter().copied().collect(),
-            self.capacity,
-            self.sum,
-            self.n,
-        )
+    /// Writes the checkpoint body `(capacity, window oldest-first, sum, n)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.u64(self.capacity as u64);
+        w.u64(self.window.len() as u64);
+        for &x in &self.window {
+            w.f64(x);
+        }
+        w.f64(self.sum);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the predictor from [`WinMean::raw_parts`] output.
-    ///
-    /// Returns `None` for state unreachable by [`Predictor::observe`]
-    /// (zero capacity or an overfull window).
-    pub fn from_raw_parts(window: Vec<f64>, capacity: usize, sum: f64, n: u64) -> Option<Self> {
-        (capacity > 0 && window.len() <= capacity).then_some(Self {
+    /// Reads a body written by a `WINMEAN` of this capacity, rejecting
+    /// state unreachable by [`Predictor::observe`] (an overfull window).
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        if r.len()? != self.capacity {
+            return Err(SnapshotError::Mismatch("window capacity"));
+        }
+        let window = r.vec_f64()?;
+        if window.len() > self.capacity {
+            return Err(SnapshotError::Invalid("window state"));
+        }
+        Ok(Self {
             window: window.into(),
-            capacity,
-            sum,
-            n,
+            capacity: self.capacity,
+            sum: r.f64()?,
+            n: r.u64()?,
         })
     }
 }
@@ -306,16 +321,24 @@ impl Lpf {
         self.beta
     }
 
-    /// The raw state `(beta, pred, n)` for checkpoint/restore.
-    pub fn raw_parts(&self) -> (f64, f64, u64) {
-        (self.beta, self.pred, self.n)
+    /// Writes the checkpoint body `(beta, pred, n)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.f64(self.beta);
+        w.f64(self.pred);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the filter from [`Lpf::raw_parts`] output.
-    ///
-    /// Returns `None` if `beta` is outside `(0, 1]`.
-    pub fn from_raw_parts(beta: f64, pred: f64, n: u64) -> Option<Self> {
-        (beta > 0.0 && beta <= 1.0).then_some(Self { beta, pred, n })
+    /// Reads a body written by an `LPF` of this β (any other β, valid or
+    /// not, is a mismatch).
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        if r.f64()?.to_bits() != self.beta.to_bits() {
+            return Err(SnapshotError::Mismatch("smoothing factor"));
+        }
+        Ok(Self {
+            beta: self.beta,
+            pred: r.f64()?,
+            n: r.u64()?,
+        })
     }
 }
 
@@ -371,17 +394,22 @@ impl ArimaPredictor {
         &self.inner
     }
 
-    /// Captures the full streaming state for checkpoint/restore.
-    pub fn snapshot(&self) -> fd_arima::ArimaSnapshot {
-        self.inner.snapshot()
+    /// Writes the full streaming state (window, model, innovation
+    /// recursion, counters) as the checkpoint body.
+    pub fn write_state(&self, w: &mut Writer) {
+        write_arima(w, &self.inner.snapshot());
     }
 
-    /// Rebuilds the predictor from a snapshot, or `None` if the snapshot
-    /// is internally inconsistent.
-    pub fn from_snapshot(s: fd_arima::ArimaSnapshot) -> Option<Self> {
-        Some(Self {
-            inner: OnlineArima::from_snapshot(s)?,
-        })
+    /// Reads a body written by an `ARIMA` of this order, rejecting
+    /// internally inconsistent state.
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let snap = read_arima(r)?;
+        if snap.spec != self.inner.spec() {
+            return Err(SnapshotError::Mismatch("arima spec"));
+        }
+        OnlineArima::from_snapshot(snap)
+            .map(|inner| Self { inner })
+            .ok_or(SnapshotError::Invalid("arima state"))
     }
 }
 
@@ -497,21 +525,6 @@ impl PhiAccrual {
         }
     }
 
-    /// The configured window size.
-    pub fn window(&self) -> usize {
-        self.cap
-    }
-
-    /// The suspicion threshold φ*.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Whether the two-phase flap lifecycle is enabled.
-    pub fn two_phase(&self) -> bool {
-        self.two_phase
-    }
-
     /// Remaining start-phase observations (0 in the stable phase).
     pub fn start_left(&self) -> u32 {
         self.start_left
@@ -532,66 +545,49 @@ impl PhiAccrual {
         beats.ceil() as u32
     }
 
-    /// The full state, for checkpoint/restore:
+    /// Writes the checkpoint body
     /// `(ring, pos, len, sum, sumsq, start_left, flaps, mean_up, up_len, n)`.
-    /// Configuration (`window`, `threshold`, `two_phase`) travels
-    /// separately as part of the predictor kind.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (Vec<f64>, u32, u32, f64, f64, u32, u64, f64, u64, u64) {
-        (
-            self.ring.clone(),
-            self.pos as u32,
-            self.len as u32,
-            self.sum,
-            self.sumsq,
-            self.start_left,
-            self.flaps,
-            self.mean_up,
-            self.up_len,
-            self.n,
-        )
+    /// Configuration (`window`, `threshold`, `two_phase`) is not state and
+    /// travels as part of the predictor kind.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.vec_f64(&self.ring);
+        w.u32(self.pos as u32);
+        w.u32(self.len as u32);
+        w.f64(self.sum);
+        w.f64(self.sumsq);
+        w.u32(self.start_left);
+        w.u64(self.flaps);
+        w.f64(self.mean_up);
+        w.u64(self.up_len);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the predictor from [`PhiAccrual::raw_parts`] output plus
-    /// its configuration, or `None` for state unreachable by observation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts(
-        window: usize,
-        threshold: f64,
-        two_phase: bool,
-        ring: Vec<f64>,
-        pos: u32,
-        len: u32,
-        sum: f64,
-        sumsq: f64,
-        start_left: u32,
-        flaps: u64,
-        mean_up: f64,
-        up_len: u64,
-        n: u64,
-    ) -> Option<Self> {
-        if window == 0
-            || !(threshold.is_finite() && threshold > 0.0)
-            || ring.len() != window
-            || pos as usize >= window
-            || len as usize > window
-        {
-            return None;
+    /// Reads a body written by a `PHI` of this window, rejecting state
+    /// unreachable by observation (a cursor or fill level past the ring).
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let ring = r.vec_f64()?;
+        if ring.len() != self.cap {
+            return Err(SnapshotError::Mismatch("phi window"));
         }
-        Some(Self {
+        let pos = r.u32()? as usize;
+        let len = r.u32()? as usize;
+        if pos >= self.cap || len > self.cap {
+            return Err(SnapshotError::Invalid("phi state"));
+        }
+        Ok(Self {
             ring,
-            cap: window,
-            pos: pos as usize,
-            len: len as usize,
-            sum,
-            sumsq,
-            threshold,
-            two_phase,
-            start_left,
-            flaps,
-            mean_up,
-            up_len,
-            n,
+            cap: self.cap,
+            pos,
+            len,
+            sum: r.f64()?,
+            sumsq: r.f64()?,
+            threshold: self.threshold,
+            two_phase: self.two_phase,
+            start_left: r.u32()?,
+            flaps: r.u64()?,
+            mean_up: r.f64()?,
+            up_len: r.u64()?,
+            n: r.u64()?,
         })
     }
 }
@@ -712,32 +708,28 @@ impl AdaptiveWindow {
         self.k
     }
 
-    /// The full state `(ring, sum, sumsq, n)` for checkpoint/restore;
-    /// configuration travels as part of the predictor kind.
-    pub fn raw_parts(&self) -> (Vec<f64>, f64, f64, u64) {
-        (self.ring.clone(), self.sum, self.sumsq, self.n)
+    /// Writes the checkpoint body `(ring, sum, sumsq, n)`; configuration
+    /// travels as part of the predictor kind.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.vec_f64(&self.ring);
+        w.f64(self.sum);
+        w.f64(self.sumsq);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the predictor from [`AdaptiveWindow::raw_parts`] output
-    /// plus its configuration, or `None` for unreachable state.
-    pub fn from_raw_parts(
-        window: usize,
-        k: f64,
-        ring: Vec<f64>,
-        sum: f64,
-        sumsq: f64,
-        n: u64,
-    ) -> Option<Self> {
-        if window == 0 || !(k.is_finite() && k >= 0.0) || ring.len() != window {
-            return None;
+    /// Reads a body written by an `ADWIN` of this window.
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let ring = r.vec_f64()?;
+        if ring.len() != self.cap {
+            return Err(SnapshotError::Mismatch("adaptive window"));
         }
-        Some(Self {
+        Ok(Self {
             ring,
-            cap: window,
-            k,
-            sum,
-            sumsq,
-            n,
+            cap: self.cap,
+            k: self.k,
+            sum: r.f64()?,
+            sumsq: r.f64()?,
+            n: r.u64()?,
         })
     }
 }
@@ -883,30 +875,31 @@ impl MlPredictor {
         self.w[self.lags + 1]
     }
 
-    /// The full state `(weights incl. bias and rate, lag ring, n)` for
-    /// checkpoint/restore.
-    pub fn raw_parts(&self) -> (Vec<f64>, Vec<f64>, u64) {
-        (self.w.clone(), self.hist.clone(), self.n)
+    /// Writes the checkpoint body
+    /// `(weights incl. bias and rate, lag ring, n)`.
+    pub fn write_state(&self, w: &mut Writer) {
+        w.vec_f64(&self.w);
+        w.vec_f64(&self.hist);
+        w.u64(self.n);
     }
 
-    /// Rebuilds the model from [`MlPredictor::raw_parts`] output plus its
-    /// configuration, or `None` for unreachable state.
-    pub fn from_raw_parts(
-        lags: usize,
-        rate: f64,
-        w: Vec<f64>,
-        hist: Vec<f64>,
-        n: u64,
-    ) -> Option<Self> {
-        if lags == 0
-            || !(rate.is_finite() && rate > 0.0 && rate <= 2.0)
-            || w.len() != lags + 2
-            || hist.len() != lags
-            || w[lags + 1] != rate
-        {
-            return None;
+    /// Reads a body written by an `ML` of these lags and rate. The rate
+    /// slot is configuration riding in the weight vector: it must match.
+    pub fn read_state(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let w = r.vec_f64()?;
+        let hist = r.vec_f64()?;
+        if hist.len() != self.lags {
+            return Err(SnapshotError::Mismatch("ml lags"));
         }
-        Some(Self { lags, w, hist, n })
+        if w.len() != self.lags + 2 || w[self.lags + 1] != self.rate() {
+            return Err(SnapshotError::Invalid("ml state"));
+        }
+        Ok(Self {
+            lags: self.lags,
+            w,
+            hist,
+            n: r.u64()?,
+        })
     }
 }
 
@@ -1204,51 +1197,6 @@ mod tests {
                 assert!(y >= 0.0, "{} forecast negative: {y}", p.name());
             }
         }
-    }
-
-    #[test]
-    fn new_predictor_raw_parts_round_trip() {
-        let mut phi = PhiAccrual::new(6, 1.5, true);
-        let mut adw = AdaptiveWindow::new(5, 1.0);
-        let mut ml = MlPredictor::new(3, 0.25);
-        for i in 0..23u64 {
-            let d = 100.0 + (i * 37 % 90) as f64;
-            let gap = if i == 11 { 5 } else { 0 };
-            phi.observe_gap(d, gap);
-            adw.observe_gap(d, gap);
-            ml.observe_gap(d, gap);
-        }
-        let (ring, pos, len, sum, sumsq, sl, fl, mu, ul, n) = phi.raw_parts();
-        let phi2 =
-            PhiAccrual::from_raw_parts(6, 1.5, true, ring, pos, len, sum, sumsq, sl, fl, mu, ul, n)
-                .expect("phi state is reachable");
-        assert_eq!(phi, phi2);
-        let (ring, sum, sumsq, n) = adw.raw_parts();
-        let adw2 = AdaptiveWindow::from_raw_parts(5, 1.0, ring, sum, sumsq, n)
-            .expect("adw state is reachable");
-        assert_eq!(adw, adw2);
-        let (w, hist, n) = ml.raw_parts();
-        let ml2 = MlPredictor::from_raw_parts(3, 0.25, w, hist, n).expect("ml state is reachable");
-        assert_eq!(ml, ml2);
-        // Shape violations are rejected, not accepted silently.
-        assert!(PhiAccrual::from_raw_parts(
-            6,
-            1.5,
-            true,
-            vec![0.0; 5],
-            0,
-            0,
-            0.0,
-            0.0,
-            0,
-            0,
-            0.0,
-            0,
-            0
-        )
-        .is_none());
-        assert!(AdaptiveWindow::from_raw_parts(5, 1.0, vec![0.0; 4], 0.0, 0.0, 0).is_none());
-        assert!(MlPredictor::from_raw_parts(3, 0.25, vec![0.0; 2], vec![0.0; 3], 0).is_none());
     }
 
     #[test]

@@ -1,32 +1,32 @@
-//! Checkpoint/restore of a live [`DetectorBank`](crate::bank::DetectorBank).
+//! The byte-level plumbing of the two warm-restart images.
 //!
-//! A [`BankSnapshot`] is a plain-data image of everything a bank needs to
-//! continue a heartbeat stream **bit-identically** after a monitor crash:
-//! the five distinct predictor states (including the full ARIMA window,
-//! model coefficients and innovation recursion), the shared Welford
-//! [`CiCore`](crate::margin::CiCore), the per-predictor
-//! [`JacCore`](crate::margin::JacCore)/[`RtoCore`](crate::margin::RtoCore)
-//! error cores, and the per-combination freshness points and suspicion
-//! flags.
+//! A [`DetectorBank`](crate::bank::DetectorBank) checkpoints as an `FDBK`
+//! image ([`snapshot_bytes`](crate::bank::DetectorBank::snapshot_bytes) /
+//! [`restore_bytes`](crate::bank::DetectorBank::restore_bytes)) and a
+//! [`SourceBank`](crate::source_bank::SourceBank) as an `FDSB` image. Both
+//! are versioned, hand-rolled little-endian byte formats: every `f64` is
+//! stored via [`f64::to_bits`], so a decode→encode round trip is exact and
+//! a restored bank's floating-point trajectory is the original's. No
+//! textual format (JSON, CSV) can guarantee that.
 //!
-//! The serialized form is a versioned, hand-rolled little-endian byte
-//! format: every `f64` is stored via [`f64::to_bits`], so a decode→encode
-//! round trip is exact and a restored bank's floating-point trajectory is
-//! the original's. No textual format (JSON, CSV) can guarantee that.
+//! Each predictor family and margin core defines its own bytes once, as a
+//! `write_state(&mut Writer)` / `read_state(&mut Reader)` pair beside the
+//! type; the two bank codecs frame those bodies. This module holds what
+//! they share: the error type, the [`Writer`]/[`Reader`] pair and the
+//! ARIMA body (whose state lives in `fd-arima`).
 //!
-//! The snapshot does **not** store the combination grid itself — that is
-//! configuration, not state. [`DetectorBank::restore`] validates that the
-//! snapshot's shape (η, combination count, predictor kinds and parameters)
-//! matches the bank it is being restored into and rejects mismatches with
+//! An image does **not** store the combination grid — that is
+//! configuration, not state. `read_state` decodes *into the shape of* an
+//! already-configured value and rejects bytes that do not fit it with
 //! [`SnapshotError::Mismatch`].
 
 use std::fmt;
 
 use fd_arima::{ArimaSnapshot, ArimaSpec};
-use fd_stat::RunningStats;
 
-/// Errors from [`BankSnapshot::from_bytes`] and
-/// [`DetectorBank::restore`](crate::bank::DetectorBank::restore).
+/// Errors from [`DetectorBank::restore_bytes`](crate::bank::DetectorBank::restore_bytes),
+/// [`SourceBank::restore_bytes`](crate::source_bank::SourceBank::restore_bytes)
+/// and the per-family `read_state` decoders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte stream ended before the snapshot was complete.
@@ -67,375 +67,6 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Image of one distinct predictor's state, mirroring
-/// [`PredictorState`](crate::bank::PredictorState).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PredictorSnapshot {
-    Last {
-        last: f64,
-        n: u64,
-    },
-    Mean {
-        mean: f64,
-        n: u64,
-    },
-    WinMean {
-        window: Vec<f64>,
-        capacity: usize,
-        sum: f64,
-        n: u64,
-    },
-    Lpf {
-        beta: f64,
-        pred: f64,
-        n: u64,
-    },
-    Arima(ArimaSnapshot),
-    Phi {
-        ring: Vec<f64>,
-        pos: u32,
-        len: u32,
-        sum: f64,
-        sumsq: f64,
-        start_left: u32,
-        flaps: u64,
-        mean_up: f64,
-        up_len: u64,
-        n: u64,
-    },
-    Adw {
-        ring: Vec<f64>,
-        sum: f64,
-        sumsq: f64,
-        n: u64,
-    },
-    Ml {
-        w: Vec<f64>,
-        hist: Vec<f64>,
-        n: u64,
-    },
-}
-
-/// A complete, restorable image of a
-/// [`DetectorBank`](crate::bank::DetectorBank)'s mutable state.
-///
-/// Produced by [`DetectorBank::snapshot`](crate::bank::DetectorBank::snapshot),
-/// consumed by [`DetectorBank::restore`](crate::bank::DetectorBank::restore),
-/// and serialized with [`BankSnapshot::to_bytes`] /
-/// [`BankSnapshot::from_bytes`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankSnapshot {
-    pub(crate) eta_us: u64,
-    pub(crate) n_combos: usize,
-    pub(crate) predictors: Vec<PredictorSnapshot>,
-    /// `(stats, sigma, inner_sqrt)` of the shared CI core.
-    pub(crate) ci: (RunningStats, f64, f64),
-    /// Per distinct predictor: `(jac (alpha, base), rto (gain, mu, dev))`.
-    pub(crate) error_cores: Vec<(Option<(f64, f64)>, Option<(f64, f64, f64)>)>,
-    pub(crate) predictions: Vec<f64>,
-    pub(crate) next_freshness_us: Vec<Option<u64>>,
-    pub(crate) suspecting: Vec<bool>,
-    pub(crate) highest_seq: Option<u64>,
-    pub(crate) heartbeats: u64,
-    pub(crate) stale_heartbeats: u64,
-}
-
-const MAGIC: &[u8; 4] = b"FDBK";
-/// Version 2 added the new-family predictor tags (φ-accrual, adaptive
-/// window, ML). The body layout of version 1 is unchanged — its tags 0–4
-/// decode exactly as before — so v1 bytes restore bit-identically.
-const VERSION: u8 = 2;
-const OLDEST_READABLE_VERSION: u8 = 1;
-
-const TAG_LAST: u8 = 0;
-const TAG_MEAN: u8 = 1;
-const TAG_WINMEAN: u8 = 2;
-const TAG_LPF: u8 = 3;
-const TAG_ARIMA: u8 = 4;
-const TAG_PHI: u8 = 5;
-const TAG_ADW: u8 = 6;
-const TAG_ML: u8 = 7;
-
-impl BankSnapshot {
-    /// Heartbeats the snapshotted bank had observed (fresh + stale).
-    pub fn heartbeats(&self) -> u64 {
-        self.heartbeats
-    }
-
-    /// Number of combinations the snapshotted bank ran.
-    pub fn combo_count(&self) -> usize {
-        self.n_combos
-    }
-
-    /// Serializes to the compact versioned byte format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u8(VERSION);
-        w.u64(self.eta_us);
-        w.u64(self.n_combos as u64);
-        w.u64(self.predictors.len() as u64);
-        for p in &self.predictors {
-            match p {
-                PredictorSnapshot::Last { last, n } => {
-                    w.u8(TAG_LAST);
-                    w.f64(*last);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::Mean { mean, n } => {
-                    w.u8(TAG_MEAN);
-                    w.f64(*mean);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::WinMean {
-                    window,
-                    capacity,
-                    sum,
-                    n,
-                } => {
-                    w.u8(TAG_WINMEAN);
-                    w.u64(*capacity as u64);
-                    w.vec_f64(window);
-                    w.f64(*sum);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::Lpf { beta, pred, n } => {
-                    w.u8(TAG_LPF);
-                    w.f64(*beta);
-                    w.f64(*pred);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::Arima(a) => {
-                    w.u8(TAG_ARIMA);
-                    write_arima(&mut w, a);
-                }
-                PredictorSnapshot::Phi {
-                    ring,
-                    pos,
-                    len,
-                    sum,
-                    sumsq,
-                    start_left,
-                    flaps,
-                    mean_up,
-                    up_len,
-                    n,
-                } => {
-                    w.u8(TAG_PHI);
-                    w.vec_f64(ring);
-                    w.u32(*pos);
-                    w.u32(*len);
-                    w.f64(*sum);
-                    w.f64(*sumsq);
-                    w.u32(*start_left);
-                    w.u64(*flaps);
-                    w.f64(*mean_up);
-                    w.u64(*up_len);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::Adw {
-                    ring,
-                    sum,
-                    sumsq,
-                    n,
-                } => {
-                    w.u8(TAG_ADW);
-                    w.vec_f64(ring);
-                    w.f64(*sum);
-                    w.f64(*sumsq);
-                    w.u64(*n);
-                }
-                PredictorSnapshot::Ml {
-                    w: weights,
-                    hist,
-                    n,
-                } => {
-                    w.u8(TAG_ML);
-                    w.vec_f64(weights);
-                    w.vec_f64(hist);
-                    w.u64(*n);
-                }
-            }
-        }
-        let (n, mean, m2, min, max) = self.ci.0.raw_parts();
-        w.u64(n);
-        w.f64(mean);
-        w.f64(m2);
-        w.f64(min);
-        w.f64(max);
-        w.f64(self.ci.1);
-        w.f64(self.ci.2);
-        for (jac, rto) in &self.error_cores {
-            match jac {
-                Some((alpha, base)) => {
-                    w.u8(1);
-                    w.f64(*alpha);
-                    w.f64(*base);
-                }
-                None => w.u8(0),
-            }
-            match rto {
-                Some((gain, mu, dev)) => {
-                    w.u8(1);
-                    w.f64(*gain);
-                    w.f64(*mu);
-                    w.f64(*dev);
-                }
-                None => w.u8(0),
-            }
-        }
-        w.vec_f64(&self.predictions);
-        for nf in &self.next_freshness_us {
-            w.opt_u64(*nf);
-        }
-        for s in &self.suspecting {
-            w.u8(*s as u8);
-        }
-        w.opt_u64(self.highest_seq);
-        w.u64(self.heartbeats);
-        w.u64(self.stale_heartbeats);
-        w.buf
-    }
-
-    /// Deserializes a snapshot produced by [`BankSnapshot::to_bytes`].
-    ///
-    /// Never panics on malformed input: truncated, corrupted or
-    /// version-skewed bytes yield a [`SnapshotError`].
-    pub fn from_bytes(data: &[u8]) -> Result<BankSnapshot, SnapshotError> {
-        let mut r = Reader::new(data);
-        if r.bytes(4)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u8()?;
-        if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let eta_us = r.u64()?;
-        let n_combos = r.len()?;
-        let n_predictors = r.len()?;
-        let mut predictors = Vec::with_capacity(n_predictors.min(64));
-        for _ in 0..n_predictors {
-            let tag = r.u8()?;
-            predictors.push(match tag {
-                TAG_LAST => PredictorSnapshot::Last {
-                    last: r.f64()?,
-                    n: r.u64()?,
-                },
-                TAG_MEAN => PredictorSnapshot::Mean {
-                    mean: r.f64()?,
-                    n: r.u64()?,
-                },
-                TAG_WINMEAN => PredictorSnapshot::WinMean {
-                    capacity: r.len()?,
-                    window: r.vec_f64()?,
-                    sum: r.f64()?,
-                    n: r.u64()?,
-                },
-                TAG_LPF => PredictorSnapshot::Lpf {
-                    beta: r.f64()?,
-                    pred: r.f64()?,
-                    n: r.u64()?,
-                },
-                TAG_ARIMA => PredictorSnapshot::Arima(read_arima(&mut r)?),
-                TAG_PHI => {
-                    let ring = r.vec_f64()?;
-                    let pos = r.u32()?;
-                    let len = r.u32()?;
-                    let sum = r.f64()?;
-                    let sumsq = r.f64()?;
-                    let start_left = r.u32()?;
-                    let flaps = r.u64()?;
-                    let mean_up = r.f64()?;
-                    let up_len = r.u64()?;
-                    let n = r.u64()?;
-                    PredictorSnapshot::Phi {
-                        ring,
-                        pos,
-                        len,
-                        sum,
-                        sumsq,
-                        start_left,
-                        flaps,
-                        mean_up,
-                        up_len,
-                        n,
-                    }
-                }
-                TAG_ADW => PredictorSnapshot::Adw {
-                    ring: r.vec_f64()?,
-                    sum: r.f64()?,
-                    sumsq: r.f64()?,
-                    n: r.u64()?,
-                },
-                TAG_ML => PredictorSnapshot::Ml {
-                    w: r.vec_f64()?,
-                    hist: r.vec_f64()?,
-                    n: r.u64()?,
-                },
-                t => return Err(SnapshotError::BadTag(t)),
-            });
-        }
-        let ci_stats = {
-            let n = r.u64()?;
-            let mean = r.f64()?;
-            let m2 = r.f64()?;
-            let min = r.f64()?;
-            let max = r.f64()?;
-            RunningStats::from_raw_parts(n, mean, m2, min, max)
-        };
-        let ci = (ci_stats, r.f64()?, r.f64()?);
-        let mut error_cores = Vec::with_capacity(n_predictors.min(64));
-        for _ in 0..n_predictors {
-            let jac = match r.u8()? {
-                0 => None,
-                1 => Some((r.f64()?, r.f64()?)),
-                t => return Err(SnapshotError::BadTag(t)),
-            };
-            let rto = match r.u8()? {
-                0 => None,
-                1 => Some((r.f64()?, r.f64()?, r.f64()?)),
-                t => return Err(SnapshotError::BadTag(t)),
-            };
-            error_cores.push((jac, rto));
-        }
-        let predictions = r.vec_f64()?;
-        let mut next_freshness_us = Vec::with_capacity(n_combos.min(1024));
-        for _ in 0..n_combos {
-            next_freshness_us.push(r.opt_u64()?);
-        }
-        let mut suspecting = Vec::with_capacity(n_combos.min(1024));
-        for _ in 0..n_combos {
-            suspecting.push(match r.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(SnapshotError::BadTag(t)),
-            });
-        }
-        let highest_seq = r.opt_u64()?;
-        let heartbeats = r.u64()?;
-        let stale_heartbeats = r.u64()?;
-        if r.remaining() > 0 {
-            return Err(SnapshotError::TrailingBytes(r.remaining()));
-        }
-        if predictions.len() != n_predictors {
-            return Err(SnapshotError::Invalid("prediction count"));
-        }
-        Ok(BankSnapshot {
-            eta_us,
-            n_combos,
-            predictors,
-            ci,
-            error_cores,
-            predictions,
-            next_freshness_us,
-            suspecting,
-            highest_seq,
-            heartbeats,
-            stale_heartbeats,
-        })
-    }
-}
-
 pub(crate) fn write_arima(w: &mut Writer, a: &ArimaSnapshot) {
     w.u64(a.spec.p as u64);
     w.u64(a.spec.d as u64);
@@ -474,16 +105,10 @@ pub(crate) fn read_arima(r: &mut Reader<'_>) -> Result<ArimaSnapshot, SnapshotEr
     let spec = ArimaSpec::new(p, d, q);
     let refit_every = r.len()?;
     let window = r.vec_f64()?;
-    let model = match r.u8()? {
-        0 => None,
-        1 => {
-            let intercept = r.f64()?;
-            let phi = r.vec_f64()?;
-            let psi = r.vec_f64()?;
-            let sigma2 = r.f64()?;
-            Some((intercept, phi, psi, sigma2))
-        }
-        t => return Err(SnapshotError::BadTag(t)),
+    let model = if r.flag()? {
+        Some((r.f64()?, r.vec_f64()?, r.vec_f64()?, r.f64()?))
+    } else {
+        None
     };
     Ok(ArimaSnapshot {
         spec,
@@ -501,16 +126,21 @@ pub(crate) fn read_arima(r: &mut Reader<'_>) -> Result<ArimaSnapshot, SnapshotEr
     })
 }
 
-/// Little-endian byte writer shared by the bank snapshot formats
-/// (`FDBK` for [`BankSnapshot`], `FDSB` for the
-/// [`SourceBank`](crate::source_bank::SourceBank) image).
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
+/// Little-endian byte writer shared by the `FDBK` and `FDSB` codecs and
+/// the per-family `write_state` encoders.
+#[derive(Debug, Default)]
+pub struct Writer {
+    buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
     pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
@@ -567,16 +197,19 @@ impl Writer {
 
 /// The matching never-panicking reader: truncation, corruption and
 /// length-claim overflows all surface as [`SnapshotError`].
-pub(crate) struct Reader<'a> {
+#[derive(Debug)]
+pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
+    /// A reader positioned at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
         Self { data, pos: 0 }
     }
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -640,139 +273,33 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
+    /// A presence/boolean byte: 0 or 1, anything else is a bad tag.
+    pub(crate) fn flag(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
+            0 => Ok(false),
+            1 => Ok(true),
             t => Err(SnapshotError::BadTag(t)),
         }
     }
+    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
+        Ok(if self.flag()? {
+            Some(self.u64()?)
+        } else {
+            None
+        })
+    }
     pub(crate) fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            t => Err(SnapshotError::BadTag(t)),
-        }
+        Ok(if self.flag()? {
+            Some(self.f64()?)
+        } else {
+            None
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::DetectorBank;
-    use crate::combinations::all_combinations;
-    use fd_sim::{SimDuration, SimTime};
-
-    fn sample_bank() -> DetectorBank {
-        let eta = SimDuration::from_secs(1);
-        let mut bank = DetectorBank::new(&all_combinations(), eta);
-        for seq in 0..40u64 {
-            let delay = 180 + (seq * 53) % 90;
-            let at = SimTime::ZERO + eta * seq + SimDuration::from_millis(delay);
-            bank.observe_heartbeat(seq, at);
-        }
-        bank
-    }
-
-    #[test]
-    fn byte_round_trip_is_exact() {
-        let snap = sample_bank().snapshot();
-        let bytes = snap.to_bytes();
-        let back = BankSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap, back);
-        assert_eq!(back.heartbeats(), 40);
-        assert_eq!(back.combo_count(), 30);
-    }
-
-    #[test]
-    fn truncation_never_panics() {
-        let bytes = sample_bank().snapshot().to_bytes();
-        for cut in 0..bytes.len() {
-            let err = BankSnapshot::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::BadMagic),
-                "cut={cut}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn corruption_is_detected_or_decodes_cleanly() {
-        // Flipping any single byte must never panic; it either errors or
-        // yields some decoded snapshot (corrupted floats decode fine — the
-        // format cannot checksum those without a cost the hot path rejects).
-        let bytes = sample_bank().snapshot().to_bytes();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xA5;
-            let _ = BankSnapshot::from_bytes(&bad);
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut bytes = sample_bank().snapshot().to_bytes();
-        bytes.push(0);
-        assert_eq!(
-            BankSnapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::TrailingBytes(1)
-        );
-    }
-
-    #[test]
-    fn version_skew_rejected() {
-        let mut bytes = sample_bank().snapshot().to_bytes();
-        bytes[4] = 99;
-        assert_eq!(
-            BankSnapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion(99)
-        );
-    }
-
-    #[test]
-    fn version1_bytes_still_decode_bit_identically() {
-        // A paper-grid bank uses only tags 0–4, whose encoding is unchanged
-        // since version 1 — rewriting the version byte reconstructs the
-        // exact image a v1 encoder produced.
-        let snap = sample_bank().snapshot();
-        let mut v1 = snap.to_bytes();
-        assert_eq!(v1[4], 2, "current version is 2");
-        v1[4] = 1;
-        let back = BankSnapshot::from_bytes(&v1).expect("v1 bytes must decode");
-        assert_eq!(back, snap, "v1 decode must be bit-identical to v2");
-        let mut bank = DetectorBank::new(&all_combinations(), SimDuration::from_secs(1));
-        bank.restore(&back).expect("v1 image must restore");
-        assert_eq!(bank.snapshot().to_bytes()[5..], v1[5..]);
-    }
-
-    #[test]
-    fn extended_grid_snapshot_round_trips() {
-        let eta = SimDuration::from_secs(1);
-        let mut bank = DetectorBank::new(&crate::combinations::extended_combinations(), eta);
-        for seq in 0..40u64 {
-            // A gap at seq 20 arms the φ lifecycle so non-trivial state
-            // crosses the wire.
-            if (20..25).contains(&seq) {
-                continue;
-            }
-            let delay = 180 + (seq * 53) % 90;
-            let at = SimTime::ZERO + eta * seq + SimDuration::from_millis(delay);
-            bank.observe_heartbeat(seq, at);
-        }
-        let snap = bank.snapshot();
-        let bytes = snap.to_bytes();
-        let back = BankSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap, back);
-        let mut restored = DetectorBank::new(&crate::combinations::extended_combinations(), eta);
-        restored
-            .restore(&back)
-            .expect("extended image must restore");
-        assert_eq!(restored.snapshot().to_bytes(), bytes);
-        // Malformed new-version bytes are rejected totally, not panicking.
-        for cut in 0..bytes.len() {
-            let _ = BankSnapshot::from_bytes(&bytes[..cut]);
-        }
-    }
 
     #[test]
     fn error_display_is_informative() {

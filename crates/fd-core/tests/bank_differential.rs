@@ -190,12 +190,10 @@ fn run_snapshot_differential(
     }
 
     // The warm-restart round trip, through the full wire format.
-    let bytes = original.snapshot().to_bytes();
-    let snap = fd_core::snapshot::BankSnapshot::from_bytes(&bytes)
-        .expect("snapshot must round-trip through bytes");
+    let bytes = original.snapshot_bytes();
     let mut restored = DetectorBank::new(&combos, eta);
     restored
-        .restore(&snap)
+        .restore_bytes(&bytes)
         .expect("snapshot must restore into a matching bank");
 
     for (i, cycle) in schedule.iter().enumerate().skip(split) {

@@ -5,17 +5,12 @@
 //! ```text
 //! scale [--smoke] [--sources 1k,10k,100k,1M] [--cycles N]
 //!       [--shards N | --threads N] [--seed N] [--out PATH] [--no-isolate]
-//!       [--crossover]
 //! ```
 //!
 //! `--sources` accepts `1k` / `10k` / `100k` / `1M` style counts
 //! (comma-separated). `--smoke` is the CI configuration: a small
 //! population, a shard-invariance assertion (the streaming digest over
 //! 1, 2 and 3 shards must be identical), and no file written.
-//! `--crossover` times the scalar and cache-blocked `observe_all` bodies
-//! at each `--sources` count (default 256..16k) and prints the table
-//! behind fd-core's `OBS_SCALAR_CROSSOVER` dispatch constant — nothing
-//! written.
 //!
 //! Each row runs in a **child process** by default: peak RSS comes from
 //! `VmHWM`, a process-lifetime high-water mark, so rows sharing a
@@ -23,8 +18,8 @@
 //! (and the hidden `--one-row` child mode) run in-process.
 
 use fd_experiments::scale::{
-    crossover_benchmark, cycle_benchmark, render_json_from_rows, render_row_json, run_scale_row,
-    sweep_benchmark, PR1_CYCLE_BASELINE_MS,
+    cycle_benchmark, render_json_from_rows, render_row_json, run_scale_row, sweep_benchmark,
+    PR1_CYCLE_BASELINE_MS,
 };
 
 fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -126,28 +121,6 @@ fn main() {
                 .unwrap_or(1)
         });
 
-    if args.iter().any(|a| a == "--crossover") {
-        // Locate the scalar-vs-blocked observe_all dispatch point: the
-        // measurement behind fd-core's OBS_SCALAR_CROSSOVER constant.
-        let counts: Vec<usize> = match arg_value(&args, "--sources") {
-            Some(list) => list
-                .split(',')
-                .map(|s| parse_count(s).unwrap_or_else(|| panic!("bad source count: {s}")))
-                .collect(),
-            None => vec![256, 1_024, 4_096, 16_384],
-        };
-        println!("observe_all dispatch crossover (scalar loop vs cache-blocked walk):");
-        for n in counts {
-            let b = crossover_benchmark(n, 16, 24);
-            println!(
-                "  {:>7} sources: scalar {:>8.4} ms/cycle   blocked {:>8.4} ms/cycle   \
-                 blocked speedup {:.2}×",
-                b.sources, b.scalar_ms, b.blocked_ms, b.blocked_speedup,
-            );
-        }
-        return;
-    }
-
     if args.iter().any(|a| a == "--one-row") {
         let sources = arg_value(&args, "--sources")
             .and_then(parse_count)
@@ -192,10 +165,7 @@ fn main() {
 
     println!("deadline sweep (100k sources × 30 combos, steady-state no-fire scan):");
     let sweep = sweep_benchmark(100_000, 50);
-    println!(
-        "  lane-swept: {:.4} ms/scan   scalar: {:.4} ms/scan   speedup {:.2}×",
-        sweep.lane_ms, sweep.scalar_ms, sweep.speedup,
-    );
+    println!("  lane-swept: {:.4} ms/scan", sweep.lane_ms);
 
     let doc = render_json_from_rows(&row_jsons, &bench, &sweep, shards, seed);
     std::fs::write(out, &doc).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));

@@ -1,7 +1,6 @@
 //! The experiment layers of the paper's architecture (its Figure 3).
 
 use fd_core::bank::DetectorBank;
-use fd_core::snapshot::BankSnapshot;
 use fd_core::{Combination, FailureDetector};
 use fd_runtime::{BatchedLayer, Context, Layer, Message, ProcessId, Recoverable, TimerId};
 use fd_sim::{DetRng, SimDuration, SimTime};
@@ -518,12 +517,11 @@ impl Recoverable for MonitorLayer {
         if self.bank.is_empty() || !self.extras.is_empty() {
             return None;
         }
-        Some(self.bank.snapshot().to_bytes())
+        Some(self.bank.snapshot_bytes())
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), String> {
-        let snap = BankSnapshot::from_bytes(snapshot).map_err(|e| e.to_string())?;
-        self.bank.restore(&snap).map_err(|e| e.to_string())
+        self.bank.restore_bytes(snapshot).map_err(|e| e.to_string())
     }
 
     fn reset(&mut self) {

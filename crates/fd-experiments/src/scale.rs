@@ -88,66 +88,46 @@ pub struct CycleBench {
     pub speedup: f64,
 }
 
-/// The deadline-sweep before/after measurement: the lane-swept
-/// (bitmask, autovectorizable) full freshness scan against the retired
-/// scalar loop, on identical banks.
+/// The deadline-sweep measurement: the lane-swept (bitmask,
+/// autovectorizable) full freshness scan. The committed
+/// `BENCH_scale.json` keeps the 1.31× it recorded over the scalar loop
+/// that scan retired.
 #[derive(Debug, Clone)]
 pub struct SweepBench {
     /// Sources in the bank (× the 30-combination grid).
     pub sources: usize,
     /// Sweeps averaged over.
     pub sweeps: u64,
-    /// Mean lane-swept scan time, milliseconds ([`SourceBank::check_all_at`]).
+    /// Mean scan time, milliseconds ([`SourceBank::check_all_at`]).
     pub lane_ms: f64,
-    /// Mean scalar scan time, milliseconds (`check_all_at_scalar`).
-    pub scalar_ms: f64,
-    /// `scalar_ms / lane_ms`.
-    pub speedup: f64,
 }
 
 /// Measures the steady-state full freshness sweep — the no-fire scan
 /// over every (source, combo) deadline that dominates idle monitor
-/// cycles — through the lane-swept path and the retired scalar loop.
-/// Both banks are primed with one delivered heartbeat per source so
+/// cycles. The bank is primed with one delivered heartbeat per source so
 /// every deadline is armed, and swept at an instant before any fires.
 pub fn sweep_benchmark(sources: usize, sweeps: u64) -> SweepBench {
     let eta = SimDuration::from_secs(1);
     let at = SimTime::ZERO + SimDuration::from_millis(200);
-    let mut lane = SourceBank::paper_grid(eta, sources);
-    let mut scalar = SourceBank::paper_grid(eta, sources);
-    let batch: Vec<HeartbeatObs> = (0..sources as u32)
-        .map(|source| HeartbeatObs {
-            source,
-            seq: 0,
-            arrival: at,
-        })
-        .collect();
-    lane.observe_all(&batch);
-    scalar.observe_all(&batch);
+    let mut bank = SourceBank::paper_grid(eta, sources);
+    let mut batch = Vec::with_capacity(sources);
+    fill_batch(&mut batch, sources, 0, at);
+    bank.observe_all(&batch);
     // 300 ms: strictly before every armed deadline (η + margin past the
-    // 200 ms arrivals), so both paths do pure scanning work.
+    // 200 ms arrivals), so the sweep does pure scanning work.
     let scan_at = SimTime::ZERO + SimDuration::from_millis(300);
-    assert!(lane.check_all_at(scan_at).is_empty(), "sweep fired early");
-    assert!(scalar.check_all_at_scalar(scan_at).is_empty());
+    assert!(bank.check_all_at(scan_at).is_empty(), "sweep fired early");
 
     let started = Instant::now();
     for _ in 0..sweeps {
-        std::hint::black_box(lane.check_all_at(scan_at).len());
+        std::hint::black_box(bank.check_all_at(scan_at).len());
     }
     let lane_ms = started.elapsed().as_secs_f64() * 1e3 / sweeps as f64;
-
-    let started = Instant::now();
-    for _ in 0..sweeps {
-        std::hint::black_box(scalar.check_all_at_scalar(scan_at).len());
-    }
-    let scalar_ms = started.elapsed().as_secs_f64() * 1e3 / sweeps as f64;
 
     SweepBench {
         sources,
         sweeps,
         lane_ms,
-        scalar_ms,
-        speedup: scalar_ms / lane_ms,
     }
 }
 
@@ -260,78 +240,6 @@ pub fn cycle_benchmark(sources: usize, warmup_cycles: u64, measured_cycles: u64)
     }
 }
 
-/// The scalar-vs-blocked batch dispatch measurement at one bank size:
-/// the per-heartbeat scalar loop against the cache-blocked two-phase
-/// walk, on identically warmed banks. `observe_all` dispatches between
-/// exactly these two paths on `OBS_SCALAR_CROSSOVER`, so this is the
-/// measurement that justifies (or indicts) the constant.
-#[derive(Debug, Clone)]
-pub struct CrossoverBench {
-    /// Sources per cycle.
-    pub sources: usize,
-    /// Measured cycles averaged over.
-    pub measured_cycles: u64,
-    /// Mean cycle time of the scalar per-heartbeat loop, milliseconds.
-    pub scalar_ms: f64,
-    /// Mean cycle time of the cache-blocked path, milliseconds.
-    pub blocked_ms: f64,
-    /// `scalar_ms / blocked_ms` — above 1.0 the blocked path wins.
-    pub blocked_speedup: f64,
-}
-
-/// Measures both `observe_all` bodies — the scalar per-heartbeat loop
-/// and the cache-blocked two-phase walk — at one bank size, with the
-/// cycle-benchmark warmup and arrival pattern. The scalar side is the
-/// public [`SourceBank::observe_heartbeat`] in a loop, which is the
-/// dispatch's small-bank body modulo a free `transitions.clear()` per
-/// call (the workload is churn-free, so the cleared vec is empty).
-pub fn crossover_benchmark(
-    sources: usize,
-    warmup_cycles: u64,
-    measured_cycles: u64,
-) -> CrossoverBench {
-    let eta = SimDuration::from_secs(1);
-    let arrival = |seq: u64| SimTime::ZERO + eta * seq + SimDuration::from_millis(200);
-
-    let mut scalar = SourceBank::paper_grid(eta, sources);
-    let mut blocked = SourceBank::paper_grid(eta, sources);
-    let mut batch: Vec<HeartbeatObs> = Vec::with_capacity(sources);
-    let mut seq = 0u64;
-    while seq < warmup_cycles {
-        fill_batch(&mut batch, sources, seq, arrival(seq));
-        blocked.observe_all_blocked(&batch);
-        for obs in &batch {
-            scalar.observe_heartbeat(obs.source, obs.seq, obs.arrival);
-        }
-        seq += 1;
-    }
-
-    let scalar_start = seq;
-    let started = Instant::now();
-    for seq in scalar_start..scalar_start + measured_cycles {
-        fill_batch(&mut batch, sources, seq, arrival(seq));
-        for obs in &batch {
-            std::hint::black_box(scalar.observe_heartbeat(obs.source, obs.seq, obs.arrival));
-        }
-    }
-    let scalar_ms = started.elapsed().as_secs_f64() * 1e3 / measured_cycles as f64;
-
-    let started = Instant::now();
-    for seq in scalar_start..scalar_start + measured_cycles {
-        fill_batch(&mut batch, sources, seq, arrival(seq));
-        std::hint::black_box(blocked.observe_all_blocked(&batch));
-    }
-    let blocked_ms = started.elapsed().as_secs_f64() * 1e3 / measured_cycles as f64;
-
-    CrossoverBench {
-        sources,
-        measured_cycles,
-        scalar_ms,
-        blocked_ms,
-        blocked_speedup: scalar_ms / blocked_ms,
-    }
-}
-
 fn fill_batch(batch: &mut Vec<HeartbeatObs>, sources: usize, seq: u64, at: SimTime) {
     batch.clear();
     batch.extend((0..sources as u32).map(|source| HeartbeatObs {
@@ -426,9 +334,7 @@ pub fn render_json_from_rows(
     out.push_str("  \"deadline_sweep\": {\n");
     out.push_str(&format!("    \"sources\": {},\n", sweep.sources));
     out.push_str(&format!("    \"sweeps\": {},\n", sweep.sweeps));
-    out.push_str(&format!("    \"lane_ms\": {:.4},\n", sweep.lane_ms));
-    out.push_str(&format!("    \"scalar_ms\": {:.4},\n", sweep.scalar_ms));
-    out.push_str(&format!("    \"speedup\": {:.3}\n", sweep.speedup));
+    out.push_str(&format!("    \"lane_ms\": {:.4}\n", sweep.lane_ms));
     out.push_str("  }\n}\n");
     out
 }
@@ -470,15 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn crossover_benchmark_times_both_paths() {
-        let bench = crossover_benchmark(48, 4, 2);
-        assert_eq!(bench.sources, 48);
-        assert!(bench.scalar_ms > 0.0);
-        assert!(bench.blocked_ms > 0.0);
-        assert!(bench.blocked_speedup.is_finite());
-    }
-
-    #[test]
     fn cycle_benchmark_paths_agree_on_state() {
         // Tiny benchmark: the point here is that both paths run and the
         // ratio is finite, not the absolute numbers.
@@ -500,6 +397,8 @@ mod tests {
         assert!(doc.contains("\"threads\""));
         assert!(doc.contains("\"rss_per_source_bytes\""));
         assert!(doc.contains("\"deadline_sweep\""));
+        assert!(doc.contains("\"lane_ms\""));
+        assert!(!doc.contains("scalar_ms"), "the scalar twin is retired");
         // Balanced braces (no serde_json to parse it for us).
         let open = doc.matches('{').count();
         let close = doc.matches('}').count();
@@ -507,10 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_benchmark_measures_both_paths() {
+    fn sweep_benchmark_measures_the_sweep() {
         let sweep = sweep_benchmark(256, 4);
+        assert_eq!((sweep.sources, sweep.sweeps), (256, 4));
         assert!(sweep.lane_ms > 0.0);
-        assert!(sweep.scalar_ms > 0.0);
-        assert!(sweep.speedup.is_finite());
     }
 }

@@ -822,7 +822,19 @@ impl EventSink for RetainSink {
 ///
 /// `Sent` / `Received` / `App` events are ignored, exactly as
 /// [`FdStatHandler`] ignores them.
+///
+/// [`QosAccumulator`] keeps instants as 32-bit microseconds — the narrow
+/// per-pair state is what lets a million-source run fit in memory — so a
+/// log reaching past that ~71.6-virtual-minute horizon (the paper's own
+/// 10 000 s run does) is extracted per detector instead: slower, the same
+/// metrics.
 pub fn accumulate_metrics(log: &EventLog, n_detectors: usize, run_end: SimTime) -> Vec<QosMetrics> {
+    let latest = log.events().last().map_or(run_end, |e| e.at.max(run_end));
+    if latest.as_micros() >= u64::from(NONE32) {
+        return (0..n_detectors as u32)
+            .map(|d| crate::metrics::extract_metrics(log, d, run_end))
+            .collect();
+    }
     let mut acc = QosAccumulator::full(1, n_detectors);
     for e in log {
         match e.kind {
@@ -1354,6 +1366,43 @@ mod tests {
         for d in 0..3 {
             assert_eq!(got[d], extract_metrics(&log, d as u32, end), "detector {d}");
         }
+    }
+
+    /// The paper's own run is 10 000 virtual seconds; the accumulator's
+    /// u32-µs clock ends at 4 294 s. A log with a crash, a detection and a
+    /// mistake around 5 000 s must come out exactly as the retained
+    /// reference computes it — whether only `run_end` or the events
+    /// themselves lie past the horizon.
+    #[test]
+    fn accumulate_metrics_survives_the_u32_horizon() {
+        let mut log = EventLog::new();
+        let rec = |log: &mut EventLog, s: u64, k: EventKind| {
+            log.record(secs(s), ProcessId(0), k);
+        };
+        rec(&mut log, 100, EventKind::StartSuspect { detector: 0 });
+        rec(&mut log, 101, EventKind::EndSuspect { detector: 0 });
+        let early = log.clone();
+        rec(&mut log, 4_990, EventKind::StartSuspect { detector: 1 }); // mistake
+        rec(&mut log, 4_992, EventKind::EndSuspect { detector: 1 });
+        rec(&mut log, 5_000, EventKind::Crash);
+        rec(&mut log, 5_003, EventKind::StartSuspect { detector: 0 }); // detection
+        rec(&mut log, 5_004, EventKind::StartSuspect { detector: 1 });
+        rec(&mut log, 5_030, EventKind::Restore);
+        rec(&mut log, 5_031, EventKind::EndSuspect { detector: 0 });
+        rec(&mut log, 5_032, EventKind::EndSuspect { detector: 1 });
+        for (log, end) in [(&log, secs(10_000)), (&early, secs(10_000))] {
+            let got = accumulate_metrics(log, 3, end);
+            assert_eq!(got.len(), 3);
+            for (d, got) in got.iter().enumerate() {
+                assert_eq!(*got, extract_metrics(log, d as u32, end), "detector {d}");
+            }
+        }
+        let got = accumulate_metrics(&log, 3, secs(10_000));
+        assert_eq!(got[0].total_crashes, 1);
+        assert_eq!(got[0].detection_times_ms, vec![3_000.0]);
+        assert_eq!(got[1].detection_times_ms, vec![4_000.0]);
+        assert_eq!(got[1].mistake_durations_ms, vec![2_000.0]);
+        assert_eq!(got[2].undetected_crashes, 1);
     }
 }
 
