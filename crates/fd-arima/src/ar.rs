@@ -2,7 +2,9 @@
 //!
 //! The Hannan–Rissanen ARMA estimator first fits a long pure-AR model to
 //! recover innovation estimates; Yule–Walker via Levinson–Durbin does that in
-//! `O(n·m + m²)`.
+//! `O(n·m + m²)` — `m + 1` autocovariance passes over the series, recomputed
+//! from scratch at every refit. For the ARIMA fit that is the cheap part: see
+//! the cost note in [`crate::model`].
 
 /// Sample autocovariance at lags `0..=max_lag` (biased estimator, divides by
 /// `n`, which keeps the autocovariance sequence positive semi-definite).

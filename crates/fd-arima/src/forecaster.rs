@@ -21,6 +21,9 @@ const WINDOW_FACTOR: usize = 8;
 pub struct OnlineArima {
     refit_every: u32,
     max_window: u32,
+    /// Recent observations, oldest first. The fit window is its trailing
+    /// `max_window`; up to `refit_every` older ones linger until the next
+    /// slide.
     window: Vec<f64>,
     /// Boxed: a fitted model is ~90 B of coefficients, but most forecasters
     /// in a million-source monitor never reach their first fit — the
@@ -83,9 +86,19 @@ impl OnlineArima {
     /// Consumes one observation.
     pub fn observe(&mut self, value: f64) {
         let max_window = self.max_window as usize;
-        if self.window.len() == max_window {
-            self.window.remove(0);
-        } else if self.window.len() == self.window.capacity() {
+        let len = self.window.len();
+        if len >= max_window {
+            // Full: slide. Shifting the whole window per observation is a
+            // `max_window`-sized move on every heartbeat, so the buffer runs
+            // `refit_every` past `max_window` and sheds that many at once;
+            // readers take the trailing `max_window` (`trailing`).
+            let slack = self.refit_every as usize;
+            if len == max_window + slack {
+                self.window.drain(..slack);
+            } else if len == self.window.capacity() {
+                self.window.reserve_exact(max_window + slack - len);
+            }
+        } else if len == self.window.capacity() {
             // Grow in measured steps instead of `push`'s doubling: a cold
             // forecaster (a handful of observations) keeps a right-sized
             // buffer instead of rounding up to the next power of two. The
@@ -115,10 +128,11 @@ impl OnlineArima {
         let first_fit_at = spec
             .min_series_len()
             .max((self.refit_every as usize).min(300));
+        let window = trailing(&self.window, max_window);
         let due = self.observed.is_multiple_of(refit_every)
-            || (self.model.is_none() && self.window.len() == first_fit_at);
-        if due && self.window.len() >= first_fit_at {
-            match ArimaModel::fit(&self.window, spec) {
+            || (self.model.is_none() && window.len() == first_fit_at);
+        if due && window.len() >= first_fit_at {
+            match ArimaModel::fit(window, spec) {
                 Ok(m) => {
                     self.model = Some(Box::new(m));
                     self.refits += 1;
@@ -151,7 +165,7 @@ impl OnlineArima {
         ArimaSnapshot {
             spec: self.state.spec(),
             refit_every: self.refit_every as usize,
-            window: self.window.clone(),
+            window: trailing(&self.window, self.max_window as usize).to_vec(),
             model: self.model.as_deref().map(|m| {
                 (
                     m.intercept(),
@@ -210,6 +224,12 @@ impl OnlineArima {
             failed_fits: s.failed_fits as u32,
         })
     }
+}
+
+/// The fit window proper: the trailing `max_window` observations of a buffer
+/// that [`OnlineArima::observe`] lets run past it between slides.
+fn trailing(buffer: &[f64], max_window: usize) -> &[f64] {
+    &buffer[buffer.len().saturating_sub(max_window)..]
 }
 
 /// A plain-data image of an [`OnlineArima`]'s complete streaming state,
@@ -320,11 +340,46 @@ mod tests {
     #[test]
     fn window_is_bounded() {
         let mut f = OnlineArima::new(ArimaSpec::new(1, 0, 0), 50);
-        for i in 0..10_000 {
-            f.observe(i as f64 % 17.0);
+        let max_window = f.max_window as usize;
+        let xs: Vec<f64> = (0..10_000).map(|i| i as f64 % 17.0).collect();
+        for (i, &x) in xs.iter().enumerate() {
+            f.observe(x);
+            // Well past 8 × refit_every, the buffer never holds more than
+            // one slide's worth beyond the fit window, and the window a
+            // snapshot carries is exactly the most recent `max_window`.
+            assert!(f.window.len() <= max_window + 50);
+            if i % 37 == 0 || i + 1 == xs.len() {
+                let seen = &xs[..=i];
+                let recent = &seen[seen.len().saturating_sub(max_window)..];
+                assert_eq!(f.snapshot().window, recent, "after {} observations", i + 1);
+            }
         }
-        assert!(f.window.len() <= f.max_window as usize);
         assert_eq!(f.observed(), 10_000);
+    }
+
+    /// `scale_wide` holds one forecaster per source: the slide must not cost
+    /// a field.
+    #[test]
+    fn forecaster_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<OnlineArima>(), 168);
+    }
+
+    /// 20 000 observations at `refit_every` 100 cross the 8 × boundary at
+    /// 800 and slide every 100 from there. Forecast bits and refit count were
+    /// recorded from the implementation that shifted the window on every
+    /// observation.
+    #[test]
+    fn sliding_matches_the_per_observation_shift() {
+        let mut rng = DetRng::seed_from(61);
+        let mut f = OnlineArima::new(ArimaSpec::new(2, 1, 1), 100);
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..20_000u32 {
+            let spike = if i % 97 == 0 { 140.0 } else { 0.0 };
+            f.observe(200.0 + 5.0 * rng.standard_normal() + spike);
+            fold = (fold ^ f.predict_next().to_bits()).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(fold, 0xa576_58df_e9c3_5cca);
+        assert_eq!((f.refits(), f.failed_fits()), (200, 0));
     }
 
     #[test]
@@ -348,26 +403,34 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_bit_exact() {
-        let mut rng = DetRng::seed_from(47);
-        let mut f = OnlineArima::new(ArimaSpec::new(2, 1, 1), 300);
-        for _ in 0..900 {
-            f.observe(120.0 + 15.0 * rng.standard_normal());
+        // Snapshot before the window fills (900 of 2 400), and past the
+        // 8 × refit_every boundary with the buffer between two slides.
+        for taken_at in [900, 2_550] {
+            let mut rng = DetRng::seed_from(47);
+            let mut f = OnlineArima::new(ArimaSpec::new(2, 1, 1), 300);
+            for _ in 0..taken_at {
+                f.observe(120.0 + 15.0 * rng.standard_normal());
+            }
+            assert!(f.model().is_some(), "fit should have happened");
+            let snapshot = f.snapshot();
+            assert_eq!(snapshot.window.len(), taken_at.min(2_400));
+            let mut restored = OnlineArima::from_snapshot(snapshot).unwrap();
+            // Identical inputs after restore must give bit-identical
+            // forecasts, through the next scheduled refits and (from 2 550)
+            // the original's slide at 2 700 and the restored twin's later one.
+            for _ in 0..700 {
+                let x = 120.0 + 15.0 * rng.standard_normal();
+                f.observe(x);
+                restored.observe(x);
+                assert_eq!(
+                    f.predict_next().to_bits(),
+                    restored.predict_next().to_bits()
+                );
+            }
+            assert_eq!(f.snapshot(), restored.snapshot());
+            assert_eq!(f.refits(), restored.refits());
+            assert_eq!(f.observed(), restored.observed());
         }
-        assert!(f.model().is_some(), "fit should have happened");
-        let mut restored = OnlineArima::from_snapshot(f.snapshot()).unwrap();
-        // Identical inputs after restore must give bit-identical forecasts,
-        // including through the next scheduled refit.
-        for _ in 0..700 {
-            let x = 120.0 + 15.0 * rng.standard_normal();
-            f.observe(x);
-            restored.observe(x);
-            assert_eq!(
-                f.predict_next().to_bits(),
-                restored.predict_next().to_bits()
-            );
-        }
-        assert_eq!(f.refits(), restored.refits());
-        assert_eq!(f.observed(), restored.observed());
     }
 
     #[test]

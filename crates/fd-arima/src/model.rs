@@ -10,11 +10,21 @@
 //! where `a_t` are the innovations. (`ψ_j = −θ_j` in the Box–Jenkins
 //! `Θ_q(B)` sign convention used by the paper.)
 //!
-//! Fitting uses the Hannan–Rissanen two-stage procedure: a long AR fit via
-//! Levinson–Durbin produces innovation estimates, then ordinary least squares
-//! regresses `z_t` on lagged values and lagged innovations. This is the
-//! standard fast, dependency-free ARMA estimator and is accurate for the
-//! short-memory, low-order models used here.
+//! Fitting starts from the Hannan–Rissanen procedure: a long AR fit via
+//! Levinson–Durbin produces innovation estimates (stage 1), ordinary least
+//! squares regresses `z_t` on lagged values and lagged innovations (stage 2)
+//! and once more on the innovations those coefficients imply (stage 3). That
+//! is the standard fast, dependency-free ARMA estimator, but it is biased
+//! when an MA root sits near the unit circle — where differenced delay
+//! series live — so stage 4 polishes it by coordinate descent on the
+//! conditional sum of squares from four starts.
+//!
+//! Cost: stages 1–3 are a few passes over the window (`O(n·m)` for the
+//! order-`m` long AR, `O(n·(p+q)²)` for the regressions) and about 5 % of a
+//! fit. Stage 4 is the fit: every candidate is one pass of the innovation
+//! recursion, so it costs `candidates × n` serial steps — up to 800
+//! candidates for the paper's (2,1,1), whatever the window. `CssKernel`
+//! spends those steps and nothing else.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -91,6 +101,11 @@ impl fmt::Display for ArimaError {
 
 impl std::error::Error for ArimaError {}
 
+/// Stage 4 of a fit: `(z, spec, stage-3 beta)` to the polished
+/// `beta = [c, φ…, ψ…]` and its innovation variance, or `None` if no start
+/// yields a finite, invertible model.
+type Polish = fn(&[f64], ArimaSpec, Vec<f64>) -> Option<(Vec<f64>, f64)>;
+
 /// A fitted ARIMA model.
 ///
 /// ```
@@ -124,6 +139,13 @@ impl ArimaModel {
     ///   with ridge regularisation (e.g. an exactly constant series with
     ///   `q > 0`).
     pub fn fit(series: &[f64], spec: ArimaSpec) -> Result<ArimaModel, ArimaError> {
+        Self::fit_with(series, spec, css_polish)
+    }
+
+    /// [`ArimaModel::fit`] with stage 4 supplied by the caller, so the tests
+    /// can run the retired stage-4 implementation behind the identical
+    /// stages 1–3 and compare coefficients bit for bit.
+    fn fit_with(series: &[f64], spec: ArimaSpec, polish: Polish) -> Result<ArimaModel, ArimaError> {
         let needed = spec.min_series_len();
         if series.len() < needed {
             return Err(ArimaError::TooShort {
@@ -222,38 +244,7 @@ impl ArimaModel {
             }
         };
 
-        // Stage 4: conditional-sum-of-squares refinement. Hannan–Rissanen is
-        // biased when an MA root sits near the unit circle — exactly the
-        // regime of differenced, noise-dominated delay series — so polish
-        // the coefficients by coordinate descent on the one-step SSE.
-        // Multi-start: besides the HR estimate, seed from a few canonical
-        // exponential-smoothing gains, which are the classic local optima
-        // for differenced level series; keep the best refined candidate.
-        let z_mean = z.iter().sum::<f64>() / z.len() as f64;
-        let mut starts = vec![beta];
-        if spec.q >= 1 {
-            for psi1 in [-0.6, -0.875, -0.95] {
-                let mut seed = vec![0.0; 1 + spec.p + spec.q];
-                seed[0] = z_mean;
-                seed[1 + spec.p] = psi1;
-                starts.push(seed);
-            }
-        }
-        let beta = starts
-            .into_iter()
-            .map(|s| css_refine(&z, spec, s))
-            .min_by(|a, b| {
-                let sa = recursion_sse(&z, spec, a).unwrap_or(f64::INFINITY);
-                let sb = recursion_sse(&z, spec, b).unwrap_or(f64::INFINITY);
-                sa.partial_cmp(&sb).expect("finite or INF SSE")
-            })
-            .expect("at least one start");
-        let sigma2 = recursion_sse(&z, spec, &beta)
-            .map(|sse| sse / (z.len() - spec.p.max(spec.q)) as f64)
-            .unwrap_or(f64::INFINITY);
-        if !sigma2.is_finite() || !ma_invertible(&beta[1 + spec.p..]) {
-            return Err(ArimaError::Singular);
-        }
+        let (beta, sigma2) = polish(&z, spec, beta).ok_or(ArimaError::Singular)?;
 
         let intercept = beta[0];
         let phi = beta[1..=spec.p].to_vec();
@@ -350,94 +341,226 @@ impl ArimaModel {
     }
 }
 
-/// `true` if the MA polynomial `1 + ψ₁B + … + ψ_qB^q` is (numerically)
-/// invertible: the impulse response of its inverse must not grow. A short
-/// in-sample recursion cannot detect marginally explosive roots, so this is
-/// checked over a long horizon regardless of the fit window's length.
-fn ma_invertible(psi: &[f64]) -> bool {
-    let q = psi.len();
-    if q == 0 {
-        return true;
-    }
-    // h_t = −Σ_j ψ_j·h_{t−j}, h_0 = 1: the inverse filter's impulse response.
-    let mut hist = vec![0.0; q];
-    hist[q - 1] = 1.0; // h_0, most recent last
-    for _ in 1..2_000 {
-        let mut h = 0.0;
-        for j in 1..=q {
-            h -= psi[j - 1] * hist[q - j];
+/// Stage 4: conditional-sum-of-squares refinement. Hannan–Rissanen is biased
+/// when an MA root sits near the unit circle — exactly the regime of
+/// differenced, noise-dominated delay series — so polish the coefficients by
+/// coordinate descent on the one-step SSE. Multi-start: besides the HR
+/// estimate, seed from a few canonical exponential-smoothing gains, which
+/// are the classic local optima for differenced level series; keep the best
+/// refined candidate.
+fn css_polish(z: &[f64], spec: ArimaSpec, hr_beta: Vec<f64>) -> Option<(Vec<f64>, f64)> {
+    let z_mean = z.iter().sum::<f64>() / z.len() as f64;
+    let mut starts = vec![hr_beta];
+    if spec.q >= 1 {
+        for psi1 in [-0.6, -0.875, -0.95] {
+            let mut seed = vec![0.0; 1 + spec.p + spec.q];
+            seed[0] = z_mean;
+            seed[1 + spec.p] = psi1;
+            starts.push(seed);
         }
-        if !h.is_finite() || h.abs() > 50.0 {
+    }
+    let mut kernel = CssKernel::new(z, spec);
+    let (beta, sse) = starts
+        .into_iter()
+        .map(|s| kernel.refine(s))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or INF SSE"))
+        .expect("at least one start");
+    let sigma2 = sse / (z.len() - spec.p.max(spec.q)) as f64;
+    (sigma2.is_finite() && kernel.invertible(&beta[1 + spec.p..])).then_some((beta, sigma2))
+}
+
+/// The stage-4 workspace of one fit: the differenced series and the buffers
+/// every CSS pass over it reuses.
+///
+/// A fit is `candidates × window` recursion steps (4 starts × ≤ 25 sweeps ×
+/// `1 + p + q` coordinates × 2 directions: up to 800 candidates for the
+/// paper's order), so the kernel does nothing per candidate but those steps:
+/// no allocation, no invertibility loop the coefficients make redundant, and
+/// no step past the point where the candidate is already rejected.
+struct CssKernel<'a> {
+    z: &'a [f64],
+    p: usize,
+    q: usize,
+    /// Working storage of the pass in flight, one `z.len()` stripe per lane:
+    /// the AR half of each prediction, overwritten by the innovation as the
+    /// recursion passes it. Entries below `max(p, q)` are never written and
+    /// stay 0.0 — the recursion's initial condition.
+    stripes: [Vec<f64>; 2],
+    /// Impulse-response history of [`CssKernel::invertible`]'s long loop.
+    hist: Vec<f64>,
+}
+
+impl<'a> CssKernel<'a> {
+    fn new(z: &'a [f64], spec: ArimaSpec) -> Self {
+        Self {
+            z,
+            p: spec.p,
+            q: spec.q,
+            stripes: [vec![0.0; z.len()], vec![0.0; z.len()]],
+            hist: vec![0.0; spec.q],
+        }
+    }
+
+    /// `true` if the MA polynomial `1 + ψ₁B + … + ψ_qB^q` is (numerically)
+    /// invertible: the impulse response of its inverse must not grow. A short
+    /// in-sample recursion cannot detect marginally explosive roots, so this
+    /// is checked over a long horizon regardless of the fit window's length.
+    fn invertible(&mut self, psi: &[f64]) -> bool {
+        // Where Σ|ψ_j| ≤ 1 the loop below can only answer `true`: every
+        // |h_t| is at most the largest earlier one, up to a rounding factor
+        // of (1+ε) per operation — nowhere near 50 in 2 000 steps. For a NaN
+        // coefficient it can only answer `false`: h_1 is already NaN.
+        let bound: f64 = psi.iter().map(|c| c.abs()).sum();
+        if bound <= 1.0 {
+            return true;
+        }
+        if bound.is_nan() {
             return false;
         }
-        hist.rotate_left(1);
-        hist[q - 1] = h;
+        // h_t = −Σ_j ψ_j·h_{t−j}, h_0 = 1: the inverse filter's impulse response.
+        let q = psi.len();
+        let hist = &mut self.hist[..q];
+        hist.fill(0.0);
+        hist[q - 1] = 1.0; // h_0, most recent last
+        for _ in 1..2_000 {
+            let mut h = 0.0;
+            for j in 1..=q {
+                h -= psi[j - 1] * hist[q - j];
+            }
+            if !h.is_finite() || h.abs() > 50.0 {
+                return false;
+            }
+            hist.rotate_left(1);
+            hist[q - 1] = h;
+        }
+        true
     }
-    true
-}
 
-/// One-step conditional sum of squares of an ARMA parameter vector
-/// `beta = [c, φ…, ψ…]` over the differenced series, or `None` if the
-/// innovation recursion diverges (non-invertible parameters).
-fn recursion_sse(z: &[f64], spec: ArimaSpec, beta: &[f64]) -> Option<f64> {
-    let start = spec.p.max(spec.q);
-    let mut innov = vec![0.0; z.len()];
-    let mut sse = 0.0;
-    for t in start..z.len() {
-        let mut pred = beta[0];
-        for i in 1..=spec.p {
-            pred += beta[i] * z[t - i];
-        }
-        for j in 1..=spec.q {
-            pred += beta[spec.p + j] * innov[t - j];
-        }
-        let e = z[t] - pred;
-        if !e.is_finite() || e.abs() > 1e9 {
-            return None;
-        }
-        innov[t] = e;
-        sse += e * e;
-    }
-    sse.is_finite().then_some(sse)
-}
-
-/// Coordinate-descent CSS polish of an ARMA parameter vector, starting from
-/// the Hannan–Rissanen estimate. Keeps whatever it cannot improve.
-fn css_refine(z: &[f64], spec: ArimaSpec, start_beta: Vec<f64>) -> Vec<f64> {
-    let mut best = start_beta;
-    let Some(mut best_sse) = recursion_sse(z, spec, &best) else {
-        return best;
-    };
-    let mut steps: Vec<f64> = best.iter().map(|b| b.abs() * 0.1 + 0.02).collect();
-    for _sweep in 0..25 {
-        let mut improved = false;
-        for i in 0..best.len() {
-            for dir in [1.0, -1.0] {
-                let mut cand = best.clone();
-                cand[i] += dir * steps[i];
-                if !ma_invertible(&cand[1 + spec.p..]) {
-                    continue;
+    /// One pass of the innovation recursion over `z` for `L` parameter
+    /// vectors `beta = [c, φ…, ψ…]` at once, each lane an independent
+    /// dependency chain. Lane `l` yields its one-step conditional sum of
+    /// squares if `live[l]`, the recursion does not diverge (non-invertible
+    /// parameters) and the sum stays below `limit`; `None` otherwise.
+    ///
+    /// The sum only grows (its terms are non-negative and IEEE addition is
+    /// monotone), so a lane whose partial sum has reached `limit` is decided
+    /// and is out; the pass ends early once every lane is. A lane that is
+    /// out keeps being stepped beside its neighbour: the recursion is bound
+    /// by the latency of `e → ψ·e → pred → z − pred`, so the idle lane costs
+    /// nothing, and it shares no arithmetic with the other.
+    fn pass<const L: usize>(
+        &mut self,
+        betas: [&[f64]; L],
+        live: [bool; L],
+        limit: f64,
+    ) -> [Option<f64>; L] {
+        let (z, p, q) = (self.z, self.p, self.q);
+        let (n, start) = (z.len(), p.max(q));
+        let mut stripes = self.stripes.iter_mut();
+        let stripe: [&mut [f64]; L] =
+            std::array::from_fn(|_| &mut stripes.next().expect("one stripe per lane")[..]);
+        // The AR half of each prediction, `c + Σ φ_i·z_{t−i}` summed in lag
+        // order, does not wait on the innovations: lay it down first, one
+        // streaming sweep per lag, and leave the serial loop the MA half.
+        for l in 0..L {
+            if live[l] {
+                let (beta, ar) = (betas[l], &mut stripe[l][start..]);
+                let mut lags = (1..=p).map(|i| (beta[i], &z[start - i..]));
+                match lags.next() {
+                    Some((phi, lag)) => ar
+                        .iter_mut()
+                        .zip(lag)
+                        .for_each(|(a, x)| *a = beta[0] + phi * x),
+                    None => ar.fill(beta[0]),
                 }
-                if let Some(sse) = recursion_sse(z, spec, &cand) {
-                    if sse < best_sse {
-                        best_sse = sse;
-                        best = cand;
-                        improved = true;
-                        break;
-                    }
+                for (phi, lag) in lags {
+                    ar.iter_mut().zip(lag).for_each(|(a, x)| *a += phi * x);
                 }
             }
         }
-        if !improved {
-            for s in &mut steps {
-                *s *= 0.5;
-            }
-            if steps.iter().all(|&s| s < 1e-5) {
+        let mut out = live.map(|l| !l);
+        // e_{t−1} rides in a register; older lags are read back from the
+        // stripe, where e_t replaces the AR half it consumed.
+        let mut prev = [0.0; L];
+        let mut sse = [0.0; L];
+        for t in start..n {
+            if out.iter().all(|&o| o) {
                 break;
             }
+            for l in 0..L {
+                let psi = &betas[l][1 + p..];
+                let mut pred = stripe[l][t];
+                if q >= 1 {
+                    pred += psi[0] * prev[l];
+                }
+                for j in 2..=q {
+                    pred += psi[j - 1] * stripe[l][t - j];
+                }
+                let e = z[t] - pred;
+                stripe[l][t] = e;
+                prev[l] = e;
+                sse[l] += e * e;
+                // Diverged, or already too large.
+                out[l] |= !e.is_finite() || e.abs() > 1e9 || sse[l] >= limit;
+            }
         }
+        std::array::from_fn(|l| (!out[l] && sse[l] < limit).then_some(sse[l]))
     }
-    best
+
+    /// Coordinate-descent CSS polish of an ARMA parameter vector. Keeps
+    /// whatever it cannot improve; returns the vector with its SSE
+    /// (`INFINITY` if the start itself diverges).
+    fn refine(&mut self, start_beta: Vec<f64>) -> (Vec<f64>, f64) {
+        let p = self.p;
+        let mut best = start_beta;
+        let [Some(mut best_sse)] = self.pass([&best], [true], f64::INFINITY) else {
+            return (best, f64::INFINITY);
+        };
+        let mut steps: Vec<f64> = best.iter().map(|b| b.abs() * 0.1 + 0.02).collect();
+        // The `+step` / `−step` candidates of the coordinate in hand; equal
+        // to `best` everywhere else.
+        let (mut up, mut down) = (best.clone(), best.clone());
+        // Invertibility depends on ψ alone: the intercept and φ coordinates
+        // inherit the incumbent's answer.
+        let mut psi_ok = self.invertible(&best[1 + p..]);
+        for _sweep in 0..25 {
+            let mut improved = false;
+            for i in 0..best.len() {
+                up[i] = best[i] + steps[i];
+                down[i] = best[i] - steps[i];
+                let live = if i > p {
+                    [
+                        self.invertible(&up[1 + p..]),
+                        self.invertible(&down[1 + p..]),
+                    ]
+                } else {
+                    [psi_ok; 2]
+                };
+                let [sse_up, sse_down] = self.pass([&up, &down], live, best_sse);
+                // `+` has precedence: `−` only counts where `+` was rejected.
+                let accepted = sse_up
+                    .map(|sse| (up[i], sse))
+                    .or(sse_down.map(|sse| (down[i], sse)));
+                if let Some((value, sse)) = accepted {
+                    best[i] = value;
+                    best_sse = sse;
+                    psi_ok = true;
+                    improved = true;
+                }
+                up[i] = best[i];
+                down[i] = best[i];
+            }
+            if !improved {
+                for s in &mut steps {
+                    *s *= 0.5;
+                }
+                if steps.iter().all(|&s| s < 1e-5) {
+                    break;
+                }
+            }
+        }
+        (best, best_sse)
+    }
 }
 
 /// Lag histories of a streaming forecast recursion. The paper's orders are
@@ -799,6 +922,9 @@ impl ArimaState {
         })
     }
 }
+
+#[cfg(test)]
+mod css_tests;
 
 #[cfg(test)]
 mod tests {

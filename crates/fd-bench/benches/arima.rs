@@ -1,5 +1,6 @@
-//! ARIMA estimation costs: fit time by order and window length, and the
-//! identification grid (the paper's Table 2 procedure).
+//! ARIMA estimation costs: fit time by order, the forecast pass, and the
+//! identification grid (the paper's Table 2 procedure). Fit time by window
+//! length is `fdbench trace`'s `fd-arima.fit_{300,1000,3000}_ms`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fd_arima::{select_best_model, ArimaModel, ArimaSpec};
@@ -18,19 +19,6 @@ fn bench_fit_by_order(c: &mut Criterion) {
         let spec = ArimaSpec::new(p, d, q);
         group.bench_with_input(BenchmarkId::from_parameter(spec), &spec, |b, &spec| {
             b.iter(|| black_box(ArimaModel::fit(&data, spec).expect("fit")));
-        });
-    }
-    group.finish();
-}
-
-fn bench_fit_by_window(c: &mut Criterion) {
-    let spec = ArimaSpec::new(2, 1, 1);
-    let mut group = c.benchmark_group("arima_fit_by_window");
-    group.sample_size(10);
-    for n in [512usize, 2_048, 8_192] {
-        let data = delays(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
-            b.iter(|| black_box(ArimaModel::fit(data, spec).expect("fit")));
         });
     }
     group.finish();
@@ -59,7 +47,6 @@ fn bench_selection_grid(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fit_by_order,
-    bench_fit_by_window,
     bench_forecast,
     bench_selection_grid
 );
